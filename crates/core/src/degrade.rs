@@ -1,11 +1,9 @@
 //! Forecaster degradation ladder (§4.3.5 resilience machinery).
 //!
-//! Extracted from [`crate::manager::AppManager`] so the online serving
-//! harness can drive the *identical* demotion/backoff/re-promotion
-//! state machine without owning an `AppManager`: the same strikes, the
-//! same `2^strikes - 1` penalty schedule, and the same `degrade.*`
-//! telemetry, so offline replay and online serving agree decision for
-//! decision.
+//! The demotion/backoff/re-promotion state machine of
+//! [`crate::manager::AppManager`], kept as its own type so the penalty
+//! schedule can be tested in isolation: strikes, the `2^strikes - 1`
+//! penalty schedule, and the `degrade.*` telemetry.
 //!
 //! The ladder tracks only the control state. The owner keeps whatever
 //! concrete fallback forecaster it wants and calls:

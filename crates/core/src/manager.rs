@@ -2,9 +2,15 @@
 //!
 //! Each application gets an [`AppManager`]: it ingests one average-
 //! concurrency sample per step, forecasts the next step with its current
-//! forecaster, and — whenever a new block completes — asynchronously
-//! re-classifies and switches forecasters. [`FemuxPolicy`] adapts the
-//! manager to the simulator's [`ScalingPolicy`] interface.
+//! forecaster, and — whenever a new block completes — re-classifies the
+//! block and switches forecasters. [`FemuxPolicy`] adapts the manager to
+//! the simulator's [`ScalingPolicy`] interface; the Knative integration
+//! and the `femux-serve` harness drive it directly.
+//!
+//! Memory is bounded however long the app runs: the manager keeps only
+//! the `cfg.history` samples the forecaster reads and an
+//! [`IncrementalExtractor`] over the current block, whose feature row is
+//! bit-for-bit equal to the batch extraction the model was trained on.
 //!
 //! # Graceful degradation
 //!
@@ -19,21 +25,32 @@
 //! and re-promotions are recorded in [`AppManager::history_of_kinds`]
 //! and the `degrade.*` telemetry counters.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use femux_fault::{FaultStats, ForecastFate, ForecastFaults};
-use femux_features::Block;
+use femux_features::{BlockFeatures, IncrementalExtractor};
 use femux_forecast::{Forecaster, ForecasterKind};
 use femux_sim::policy::{IdleRun, IdleTicks, PolicyCtx, ScalingPolicy};
 
 use crate::degrade::{DegradeLadder, LadderDecision};
 use crate::model::FemuxModel;
 
+/// Knative's default per-pod target utilization: the autoscaler
+/// provisions a concurrency estimate against 70 % of each pod's
+/// concurrency limit, leaving headroom for within-interval peaks.
+pub const KNATIVE_TARGET_UTILIZATION: f64 = 0.7;
+
 /// Online state for one application.
 pub struct AppManager {
     model: Arc<FemuxModel>,
-    series: Vec<f64>,
+    /// The trailing forecast window: the last `cfg.history` samples.
+    window: VecDeque<f64>,
+    /// Features of the current block, maintained per sample.
+    extractor: IncrementalExtractor,
+    /// Samples observed so far.
+    steps: usize,
     exec_secs: f64,
     current_kind: ForecasterKind,
     forecaster: Box<dyn Forecaster>,
@@ -42,14 +59,12 @@ pub struct AppManager {
     /// moving-average fallback and the fallback blocks that follow
     /// appear here too.
     pub history_of_kinds: Vec<ForecasterKind>,
-    next_block_end: usize,
     /// Injected forecaster-fault stream, if this manager runs under a
     /// fault plan.
     faults: Option<ForecastFaults>,
     /// The moving-average fallback while degraded; `None` when healthy.
     fallback: Option<Box<dyn Forecaster>>,
-    /// Demotion/backoff/re-promotion control state (shared with the
-    /// online serving harness, which drives its own copy).
+    /// Demotion/backoff/re-promotion control state.
     ladder: DegradeLadder,
 }
 
@@ -57,17 +72,23 @@ impl AppManager {
     /// Creates a manager starting on the model's default forecaster.
     pub fn new(model: Arc<FemuxModel>, exec_secs: f64) -> Self {
         let kind = model.default_forecaster;
+        let cfg = &model.cfg;
         AppManager {
-            next_block_end: model.cfg.block_len,
+            window: VecDeque::with_capacity(cfg.history),
+            extractor: IncrementalExtractor::new(
+                cfg.block_len,
+                exec_secs,
+                &cfg.features,
+            ),
+            steps: 0,
+            exec_secs,
             forecaster: kind.build(),
             current_kind: kind,
             history_of_kinds: vec![kind],
-            series: Vec::new(),
-            exec_secs,
-            model,
             faults: None,
             fallback: None,
             ladder: DegradeLadder::new(),
+            model,
         }
     }
 
@@ -125,61 +146,67 @@ impl AppManager {
     /// Ingests one step of observed average concurrency. When this
     /// completes a block, the block is classified and the forecaster for
     /// the next block selected (the paper does this asynchronously; the
-    /// classification itself takes well under 10 ms).
+    /// classification itself takes well under 10 ms), and the block's
+    /// feature row is returned.
     ///
     /// Non-finite samples (e.g. `NaN` from a lost concurrency report)
     /// are sanitized to zero so one bad report can never poison the
     /// history the forecasters and classifier read.
-    pub fn observe(&mut self, value: f64) {
+    pub fn observe(&mut self, value: f64) -> Option<BlockFeatures> {
         let value = if value.is_finite() {
             value
         } else {
             femux_obs::counter_add("degrade.nonfinite_observations", 1);
             0.0
         };
-        self.series.push(value.max(0.0));
-        if self.series.len() >= self.next_block_end {
-            let lo = self.next_block_end - self.model.cfg.block_len;
-            let block = Block {
-                app_index: 0,
-                seq: 0,
-                series: self.series[lo..self.next_block_end].to_vec(),
-                exec_secs: self.exec_secs,
-            };
-            let kind = self.model.select(&block);
-            femux_obs::counter_add("core.manager.blocks_classified", 1);
-            femux_obs::counter_add(
-                &format!("core.manager.selected.{}", kind.name()),
-                1,
-            );
-            match self.ladder.block_boundary() {
-                LadderDecision::Fallback => {
-                    // Still serving out the backoff penalty: another
-                    // full block on the fallback.
-                    self.history_of_kinds
-                        .push(ForecasterKind::MovingAverage);
+        let value = value.max(0.0);
+        if self.window.len() == self.model.cfg.history {
+            self.window.pop_front();
+        }
+        if self.model.cfg.history > 0 {
+            self.window.push_back(value);
+        }
+        self.steps += 1;
+        let block = self.extractor.push(value)?;
+        self.on_block(&block);
+        Some(block)
+    }
+
+    /// Block boundary: classify the finished block and let the
+    /// degradation ladder arbitrate the next forecaster.
+    fn on_block(&mut self, block: &BlockFeatures) {
+        let kind =
+            self.model.select_from_features(&block.features, block.idle);
+        femux_obs::counter_add("core.manager.blocks_classified", 1);
+        femux_obs::counter_add(
+            &format!("core.manager.selected.{}", kind.name()),
+            1,
+        );
+        match self.ladder.block_boundary() {
+            LadderDecision::Fallback => {
+                // Still serving out the backoff penalty: another full
+                // block on the fallback.
+                self.history_of_kinds.push(ForecasterKind::MovingAverage);
+            }
+            LadderDecision::Repromote => {
+                // Penalty served: re-promote to whatever the classifier
+                // picked for the fresh block.
+                self.fallback = None;
+                if kind != self.current_kind {
+                    femux_obs::counter_add("core.manager.switches", 1);
                 }
-                LadderDecision::Repromote => {
-                    // Penalty served: re-promote to whatever the
-                    // classifier picked for the fresh block.
-                    self.fallback = None;
-                    if kind != self.current_kind {
-                        femux_obs::counter_add("core.manager.switches", 1);
-                    }
+                self.current_kind = kind;
+                self.forecaster = kind.build();
+                self.history_of_kinds.push(kind);
+            }
+            LadderDecision::Healthy { .. } => {
+                if kind != self.current_kind {
+                    femux_obs::counter_add("core.manager.switches", 1);
                     self.current_kind = kind;
                     self.forecaster = kind.build();
-                    self.history_of_kinds.push(kind);
                 }
-                LadderDecision::Healthy { .. } => {
-                    if kind != self.current_kind {
-                        femux_obs::counter_add("core.manager.switches", 1);
-                        self.current_kind = kind;
-                        self.forecaster = kind.build();
-                    }
-                    self.history_of_kinds.push(kind);
-                }
+                self.history_of_kinds.push(kind);
             }
-            self.next_block_end += self.model.cfg.block_len;
         }
     }
 
@@ -192,17 +219,15 @@ impl AppManager {
     /// returned values are always finite.
     pub fn forecast(&mut self, horizon: usize) -> Vec<f64> {
         femux_obs::counter_add("core.manager.forecasts", 1);
-        let start =
-            self.series.len().saturating_sub(self.model.cfg.history);
         if self.fallback.is_none() {
             let fate = match self.faults.as_mut() {
                 Some(f) => f.fate(),
                 None => ForecastFate::None,
             };
             let forecaster = &mut self.forecaster;
-            let series = &self.series;
+            let window: &[f64] = self.window.make_contiguous();
             let result = catch_unwind(AssertUnwindSafe(move || {
-                let mut out = forecaster.forecast(&series[start..], horizon);
+                let mut out = forecaster.forecast(window, horizon);
                 match fate {
                     ForecastFate::None => {}
                     ForecastFate::Nan => {
@@ -232,7 +257,7 @@ impl AppManager {
             .fallback
             .as_mut()
             .expect("degraded path always has a fallback installed");
-        fallback.forecast(&self.series[start..], horizon)
+        fallback.forecast(self.window.make_contiguous(), horizon)
     }
 
     /// Whether this manager draws from an injected forecaster-fault
@@ -248,25 +273,24 @@ impl AppManager {
     pub fn idle_window_settled(&self) -> bool {
         let h = self.model.cfg.history;
         h > 0
-            && self.series.len() >= h
-            && self.series[self.series.len() - h..]
-                .iter()
-                .all(|&v| v == 0.0)
+            && self.window.len() == h
+            && self.window.iter().all(|&v| v == 0.0)
     }
 
     /// Steps until the next block boundary (always ≥ 1 between
     /// observations).
     pub fn steps_until_block(&self) -> usize {
-        self.next_block_end.saturating_sub(self.series.len())
+        self.extractor.block_len() - self.extractor.block_progress()
     }
 
-    /// Advances `k` idle steps in closed form: exactly the state and
-    /// telemetry that `k` `(observe(0.0), forecast(_))` pairs would
+    /// Advances `k` idle steps without forecasting: exactly the state
+    /// and telemetry that `k` `(observe(0.0), forecast(_))` pairs would
     /// produce when the window is settled
     /// ([`Self::idle_window_settled`]), no fault stream is installed,
     /// and no block boundary is crossed — the forecasts are pure
     /// repeats (forecasters only mutate in `train`, a `femux-forecast`
-    /// contract), so only the series and the forecast counter move.
+    /// contract) and the settled window is unchanged, so only the
+    /// block's features, the step count and the forecast counter move.
     pub fn skip_idle_steps(&mut self, k: usize) {
         if k == 0 {
             return;
@@ -274,10 +298,13 @@ impl AppManager {
         debug_assert!(self.faults.is_none());
         debug_assert!(self.idle_window_settled());
         debug_assert!(
-            self.series.len() + k < self.next_block_end,
+            k < self.steps_until_block(),
             "closed-form skip must not cross a block boundary"
         );
-        self.series.resize(self.series.len() + k, 0.0);
+        for _ in 0..k {
+            self.extractor.push(0.0);
+        }
+        self.steps += k;
         femux_obs::counter_add("core.manager.forecasts", k as u64);
     }
 
@@ -295,17 +322,20 @@ impl AppManager {
 ///
 /// The Knative prototype persists forecasting-thread state in etcd so
 /// FeMux pods can be rescheduled without losing application history
-/// (§5.2); this is the state that gets persisted.
+/// (§5.2); this is the state that gets persisted. It is bounded like
+/// the manager: `recent` holds only the trailing samples a restore
+/// needs — the forecast window and the current block's partial
+/// samples, at most `max(history, block_len - 1)` of them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManagerSnapshot {
-    /// Observed per-step concurrency so far.
-    pub series: Vec<f64>,
+    /// The trailing observed samples, oldest first.
+    pub recent: Vec<f64>,
+    /// Samples observed so far (`recent` ends at step `steps - 1`).
+    pub steps: usize,
     /// Forecaster currently in use.
     pub current: ForecasterKind,
     /// Full switch history.
     pub history_of_kinds: Vec<ForecasterKind>,
-    /// Next block boundary (in steps).
-    pub next_block_end: usize,
     /// The app's mean execution time, seconds.
     pub exec_secs: f64,
 }
@@ -313,16 +343,29 @@ pub struct ManagerSnapshot {
 impl AppManager {
     /// Captures the manager's state for persistence.
     pub fn snapshot(&self) -> ManagerSnapshot {
+        // Both buffers end at the newest sample, so the longer one
+        // holds the other as its suffix.
+        let block = self.extractor.window();
+        let recent = if block.len() > self.window.len() {
+            block.to_vec()
+        } else {
+            self.window.iter().copied().collect()
+        };
         ManagerSnapshot {
-            series: self.series.clone(),
+            recent,
+            steps: self.steps,
             current: self.current_kind,
             history_of_kinds: self.history_of_kinds.clone(),
-            next_block_end: self.next_block_end,
             exec_secs: self.exec_secs,
         }
     }
 
-    /// Rebuilds a manager from a snapshot (e.g. on another FeMux pod).
+    /// Rebuilds a manager from a snapshot (e.g. on another FeMux pod):
+    /// the forecast window is refilled and the current block's partial
+    /// samples re-pushed through a fresh extractor, so the restored
+    /// manager continues bit-identically to the one snapshotted. A
+    /// `recent` longer than needed (a legacy full-series snapshot) is
+    /// read from its tail.
     ///
     /// Degradation state (fallback, strikes, penalty) is deliberately
     /// transient and not persisted: a rescheduled manager restarts
@@ -332,18 +375,22 @@ impl AppManager {
         model: Arc<FemuxModel>,
         snap: ManagerSnapshot,
     ) -> Self {
-        AppManager {
-            forecaster: snap.current.build(),
-            current_kind: snap.current,
-            history_of_kinds: snap.history_of_kinds,
-            next_block_end: snap.next_block_end,
-            series: snap.series,
-            exec_secs: snap.exec_secs,
-            model,
-            faults: None,
-            fallback: None,
-            ladder: DegradeLadder::new(),
+        let (history, block_len) = (model.cfg.history, model.cfg.block_len);
+        let mut mgr = AppManager::new(model, snap.exec_secs);
+        mgr.steps = snap.steps;
+        mgr.current_kind = snap.current;
+        mgr.forecaster = snap.current.build();
+        mgr.history_of_kinds = snap.history_of_kinds;
+        let recent = &snap.recent;
+        let window = history.min(recent.len());
+        mgr.window.extend(&recent[recent.len() - window..]);
+        let partial = (snap.steps % block_len).min(recent.len());
+        mgr.extractor =
+            mgr.extractor.starting_at_block(snap.steps / block_len);
+        for &v in &recent[recent.len() - partial..] {
+            mgr.extractor.push(v);
         }
+        mgr
     }
 }
 
@@ -352,13 +399,11 @@ impl AppManager {
 ///
 /// The forecast is an *average* concurrency; as in the Knative
 /// prototype, the autoscaler provisions it against a per-pod
-/// concurrency target scaled by a utilization factor (Knative's
-/// default 0.7), leaving headroom for within-interval peaks, and never
-/// scales below what is currently in flight.
+/// concurrency target scaled by [`KNATIVE_TARGET_UTILIZATION`], leaving
+/// headroom for within-interval peaks, and never scales below what is
+/// currently in flight.
 pub struct FemuxPolicy {
     manager: AppManager,
-    /// Target per-pod utilization (0 < u <= 1; Knative default 0.7).
-    pub utilization: f64,
 }
 
 impl FemuxPolicy {
@@ -366,7 +411,6 @@ impl FemuxPolicy {
     pub fn new(model: Arc<FemuxModel>, exec_secs: f64) -> Self {
         FemuxPolicy {
             manager: AppManager::new(model, exec_secs),
-            utilization: 0.7,
         }
     }
 
@@ -379,7 +423,6 @@ impl FemuxPolicy {
     ) -> Self {
         FemuxPolicy {
             manager: AppManager::with_faults(model, exec_secs, faults),
-            utilization: 0.7,
         }
     }
 
@@ -397,13 +440,12 @@ impl ScalingPolicy for FemuxPolicy {
     fn target_pods(&mut self, ctx: &PolicyCtx<'_>) -> usize {
         // Ingest every interval completed since the last call (exactly
         // one per tick in the simulator).
-        let seen = self.manager.series.len();
-        for &v in &ctx.avg_concurrency[seen..] {
+        for &v in &ctx.avg_concurrency[self.manager.steps..] {
             self.manager.observe(v);
         }
         let pred = self.manager.forecast(1)[0];
-        let target = (pred / self.utilization.clamp(0.05, 1.0))
-            .max(ctx.inflight as f64);
+        let target =
+            (pred / KNATIVE_TARGET_UTILIZATION).max(ctx.inflight as f64);
         ctx.pods_for_concurrency(target)
     }
 
@@ -417,7 +459,7 @@ impl ScalingPolicy for FemuxPolicy {
         // Take tick `i` with full per-tick semantics (ingest, forecast,
         // possibly demote). If that leaves the manager in the settled
         // all-zero fixed point, the following ticks are pure repeats up
-        // to the next block boundary and advance in closed form. The
+        // to the next block boundary and advance without forecasting. The
         // target never reads `current_pods`, so the run is safe under
         // scale-out rate limiting.
         let target = self.target_pods(&idle.ctx(i, current_pods));
@@ -483,7 +525,8 @@ mod tests {
         assert_eq!(mgr.current(), model.default_forecaster);
         // Feed a strongly periodic signal for one full block: the block
         // must be classified exactly once, and the resulting choice must
-        // match what the model selects for that block directly.
+        // match what the model selects for that block by batch
+        // extraction.
         let series: Vec<f64> = (0..model.cfg.block_len)
             .map(|t| {
                 5.0 + 4.0
@@ -532,20 +575,32 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip_preserves_behaviour() {
+    fn buffers_stay_bounded_over_many_blocks() {
         let model = model();
-        let mut original = AppManager::new(model.clone(), 0.5);
-        for t in 0..150 {
-            original.observe((2.0 + (t as f64 * 0.3).sin()).max(0.0));
+        let (history, block_len) = (model.cfg.history, model.cfg.block_len);
+        let mut mgr = AppManager::new(model, 0.5);
+        let window_cap = mgr.window.capacity();
+        let mut blocks = 0;
+        for t in 0..block_len * 12 + 7 {
+            let v = (3.0 + (t as f64 * 0.37).sin() * 2.0).max(0.0);
+            if let Some(block) = mgr.observe(v) {
+                assert_eq!(block.seq, blocks);
+                blocks += 1;
+            }
+            let _ = mgr.forecast(1);
+            assert_eq!(mgr.window.len(), history.min(t + 1));
+            assert_eq!(mgr.window.capacity(), window_cap, "step {t}");
+            assert_eq!(mgr.extractor.window().len(), (t + 1) % block_len);
+            let snap = mgr.snapshot();
+            assert!(
+                snap.recent.len() <= history.max(block_len - 1),
+                "step {t}: snapshot holds {} samples",
+                snap.recent.len()
+            );
+            assert_eq!(snap.steps, t + 1);
         }
-        let snap = original.snapshot();
-        let mut restored = AppManager::from_snapshot(model, snap.clone());
-        assert_eq!(restored.current(), original.current());
-        assert_eq!(restored.forecast(3), original.forecast(3));
-        // Both continue identically.
-        original.observe(1.5);
-        restored.observe(1.5);
-        assert_eq!(restored.snapshot(), original.snapshot());
+        assert_eq!(blocks, 12);
+        assert_eq!(mgr.history_of_kinds.len(), 13);
     }
 
     #[test]
@@ -558,7 +613,7 @@ mod tests {
         mgr.observe(-3.0);
         mgr.observe(2.5);
         assert_eq!(
-            mgr.snapshot().series,
+            mgr.snapshot().recent,
             vec![0.0, 0.0, 0.0, 0.0, 2.5],
             "bad samples become zero, good samples pass through"
         );
@@ -657,5 +712,6 @@ mod tests {
             (3..=5).contains(&target),
             "target {target} for constant load 3"
         );
+        assert_eq!(policy.manager().snapshot().steps, history.len());
     }
 }

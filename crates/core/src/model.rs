@@ -347,11 +347,12 @@ impl FemuxModel {
     }
 
     /// Selects the forecaster from an already-extracted (raw, unscaled)
-    /// feature row — the online path, where the serving harness
-    /// maintains features incrementally and never materializes a
-    /// [`Block`]. `idle` is the block's [`femux_features::is_idle`]
-    /// verdict; idle blocks route to the default forecaster without
-    /// classification, exactly as [`FemuxModel::select`] does.
+    /// feature row — the online path, where
+    /// [`crate::manager::AppManager`] maintains features incrementally
+    /// and never materializes a [`Block`]. `idle` is the block's
+    /// [`femux_features::is_idle`] verdict; idle blocks route to the
+    /// default forecaster without classification, exactly as
+    /// [`FemuxModel::select`] does.
     pub fn select_from_features(
         &self,
         features: &[f64],

@@ -1,4 +1,5 @@
-//! Incremental per-sample feature maintenance for online serving.
+//! Incremental per-sample feature maintenance for the online per-app
+//! manager.
 //!
 //! The offline pipeline re-extracts every feature from a completed
 //! block's full series. A serving pod cannot afford that shape of work:
@@ -31,7 +32,7 @@
 
 use femux_stats::adf::AdfAccumulator;
 
-use crate::{linearity, periodicity, Block, FeatureKind};
+use crate::{linearity, periodicity, FeatureKind};
 
 /// The feature row emitted when a pushed sample completes a block.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,6 +87,14 @@ impl IncrementalExtractor {
         }
     }
 
+    /// Starts the block count at `blocks` instead of 0: an extractor
+    /// rebuilt mid-stream from persisted state continues the original
+    /// sequence numbers.
+    pub fn starting_at_block(mut self, blocks: usize) -> Self {
+        self.seq = blocks;
+        self
+    }
+
     /// The configured block length.
     pub fn block_len(&self) -> usize {
         self.block_len
@@ -99,11 +108,6 @@ impl IncrementalExtractor {
     /// Number of blocks completed so far.
     pub fn blocks_completed(&self) -> usize {
         self.seq
-    }
-
-    /// The feature kinds emitted at each boundary, in order.
-    pub fn kinds(&self) -> &[FeatureKind] {
-        &self.kinds
     }
 
     /// Read-only view of the current block buffer (oldest first).
@@ -165,23 +169,12 @@ impl IncrementalExtractor {
             None => -30.0,
         }
     }
-
-    /// Materializes the current (complete or partial) block as a batch
-    /// [`Block`] — the parity sweep's reference view.
-    pub fn as_block(&self, app_index: usize) -> Block {
-        Block {
-            app_index,
-            seq: self.seq,
-            series: self.buf.clone(),
-            exec_secs: self.exec_secs,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{extract, is_idle};
+    use crate::{extract, is_idle, Block};
     use femux_stats::rng::Rng;
 
     fn assert_block_parity(
@@ -295,9 +288,11 @@ mod tests {
         }
         assert_eq!(inc.blocks_completed(), 2);
         assert_eq!(inc.block_progress(), 5);
-        assert_eq!(inc.window().len(), 5);
-        assert_eq!(inc.as_block(7).app_index, 7);
-        assert_eq!(inc.as_block(7).seq, 2);
+        assert_eq!(inc.window(), &[20.0, 21.0, 22.0, 23.0, 24.0]);
+        let resumed =
+            IncrementalExtractor::new(10, 1.0, &FeatureKind::DEFAULT)
+                .starting_at_block(2);
+        assert_eq!(resumed.blocks_completed(), 2);
     }
 
     #[test]

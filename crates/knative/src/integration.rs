@@ -155,7 +155,7 @@ impl ScalingPolicy for FemuxKnativePolicy {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use femux::config::FemuxConfig;
     use femux::model::{train, ClassifierKind, TrainApp};
@@ -164,7 +164,9 @@ mod tests {
         AppId, AppRecord, Invocation, WorkloadKind,
     };
 
-    fn trained_model() -> Arc<FemuxModel> {
+    /// A small trained model (60-step blocks, 30-step history), shared
+    /// with the state-store tests.
+    pub(crate) fn trained_model() -> Arc<FemuxModel> {
         let cfg = FemuxConfig {
             block_len: 60,
             history: 30,

@@ -20,6 +20,7 @@
 //! recomputing from a gappy window (counted in
 //! `knative.kpa.held_targets`).
 
+use femux::manager::KNATIVE_TARGET_UTILIZATION;
 use femux_sim::policy::{IdleRun, IdleTicks, PolicyCtx, ScalingPolicy};
 
 /// KPA tuning parameters (Knative defaults).
@@ -50,7 +51,7 @@ impl Default for KpaConfig {
             panic_window_ms: 6_000,
             panic_threshold: 2.0,
             scale_to_zero_grace_ms: 60_000,
-            target_utilization: 0.7,
+            target_utilization: KNATIVE_TARGET_UTILIZATION,
         }
     }
 }

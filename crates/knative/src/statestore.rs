@@ -8,7 +8,7 @@
 //! text codec for [`ManagerSnapshot`] so the stored values are plain
 //! strings as they would be in etcd.
 //!
-//! A pod can die mid-write, and storage can rot: the `v2` codec guards
+//! A pod can die mid-write, and storage can rot: the codec guards
 //! the payload with an FNV-1a 64 checksum so truncation and bit flips
 //! are *detected* (decode returns `None`) rather than silently restored
 //! as garbage. [`StateStore::put_snapshot`] keeps the previous valid
@@ -150,70 +150,73 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Encodes a snapshot as a line-oriented string value (`v2`: a `crc=`
-/// line protects everything after it).
+/// Encodes a snapshot as a line-oriented string value (`v3`: a `crc=`
+/// line protects everything after it). Samples use Rust's shortest
+/// round-trip formatting, so every `f64` decodes to the same bits and a
+/// restored manager continues bit-identically.
 pub fn encode_snapshot(snap: &ManagerSnapshot) -> String {
     let kinds: Vec<&str> = snap
         .history_of_kinds
         .iter()
         .map(|k| k.name())
         .collect();
-    let series: Vec<String> =
-        snap.series.iter().map(|v| format!("{v:.9}")).collect();
+    let recent: Vec<String> =
+        snap.recent.iter().map(|v| format!("{v}")).collect();
     let body = format!(
-        "current={}\nnext_block_end={}\nexec_secs={}\nhistory={}\nseries={}",
+        "current={}\nsteps={}\nexec_secs={}\nhistory={}\nrecent={}",
         snap.current.name(),
-        snap.next_block_end,
+        snap.steps,
         snap.exec_secs,
         kinds.join(","),
-        series.join(",")
+        recent.join(",")
     );
-    format!("v2\ncrc={:016x}\n{body}", fnv1a64(body.as_bytes()))
+    format!("v3\ncrc={:016x}\n{body}", fnv1a64(body.as_bytes()))
 }
 
 fn parse_kind(name: &str) -> Option<ForecasterKind> {
     ForecasterKind::ALL.into_iter().find(|k| k.name() == name)
 }
 
-/// Decodes a snapshot encoded by [`encode_snapshot`]. Accepts the
-/// legacy checksum-less `v1` layout (values written before the codec
-/// change) and the checksummed `v2`; any checksum mismatch is counted
-/// in `knative.statestore.crc_mismatches` and decodes to `None`.
+/// Decodes a snapshot encoded by [`encode_snapshot`]. Also accepts the
+/// legacy full-series layouts — checksum-less `v1` and checksummed
+/// `v2` — whose whole `series` becomes `recent` (its length is the step
+/// count). Any checksum mismatch is counted in
+/// `knative.statestore.crc_mismatches` and decodes to `None`.
 pub fn decode_snapshot(text: &str) -> Option<ManagerSnapshot> {
     let (version, rest) = text.split_once('\n')?;
-    match version {
-        "v1" => decode_body(rest),
-        "v2" => {
-            let (crc_line, body) = rest.split_once('\n')?;
-            let crc = u64::from_str_radix(
-                crc_line.strip_prefix("crc=")?,
-                16,
-            )
-            .ok()?;
-            if fnv1a64(body.as_bytes()) != crc {
-                femux_obs::counter_add(
-                    "knative.statestore.crc_mismatches",
-                    1,
-                );
-                return None;
-            }
-            decode_body(body)
-        }
-        _ => None,
+    let legacy = match version {
+        "v1" => return decode_body(rest, true),
+        "v2" => true,
+        "v3" => false,
+        _ => return None,
+    };
+    let (crc_line, body) = rest.split_once('\n')?;
+    let crc = u64::from_str_radix(crc_line.strip_prefix("crc=")?, 16).ok()?;
+    if fnv1a64(body.as_bytes()) != crc {
+        femux_obs::counter_add("knative.statestore.crc_mismatches", 1);
+        return None;
     }
+    decode_body(body, legacy)
 }
 
-fn decode_body(body: &str) -> Option<ManagerSnapshot> {
+/// Parses a snapshot body. The legacy layout stores `next_block_end`
+/// and the full `series`; the current one `steps` and the `recent`
+/// tail.
+fn decode_body(body: &str, legacy: bool) -> Option<ManagerSnapshot> {
+    let (steps_key, samples_key) = if legacy {
+        ("next_block_end", "series")
+    } else {
+        ("steps", "recent")
+    };
     let mut current = None;
-    let mut next_block_end = None;
+    let mut steps = None;
     let mut exec_secs = None;
     let mut history = None;
-    let mut series = None;
+    let mut samples = None;
     for line in body.lines() {
         let (key, value) = line.split_once('=')?;
         match key {
             "current" => current = parse_kind(value),
-            "next_block_end" => next_block_end = value.parse().ok(),
             "exec_secs" => exec_secs = value.parse().ok(),
             "history" => {
                 history = value
@@ -222,8 +225,9 @@ fn decode_body(body: &str) -> Option<ManagerSnapshot> {
                     .map(parse_kind)
                     .collect::<Option<Vec<_>>>();
             }
-            "series" => {
-                series = value
+            k if k == steps_key => steps = value.parse::<usize>().ok(),
+            k if k == samples_key => {
+                samples = value
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(|s| s.parse::<f64>().ok())
@@ -232,11 +236,20 @@ fn decode_body(body: &str) -> Option<ManagerSnapshot> {
             _ => return None,
         }
     }
+    let recent = samples.unwrap_or_default();
+    let steps = steps?;
+    // A legacy snapshot holds every sample, so its length is the step
+    // count; `next_block_end` is derivable and only checked for
+    // presence.
+    let steps = if legacy { recent.len() } else { steps };
+    if recent.len() > steps {
+        return None;
+    }
     Some(ManagerSnapshot {
-        series: series.unwrap_or_default(),
+        recent,
+        steps,
         current: current?,
         history_of_kinds: history.unwrap_or_default(),
-        next_block_end: next_block_end?,
         exec_secs: exec_secs?,
     })
 }
@@ -244,16 +257,18 @@ fn decode_body(body: &str) -> Option<ManagerSnapshot> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integration::tests::trained_model;
+    use femux::manager::AppManager;
 
     fn snapshot() -> ManagerSnapshot {
         ManagerSnapshot {
-            series: vec![0.0, 1.5, 2.25, 0.125],
+            recent: vec![0.0, 1.5, 2.25, 0.125],
+            steps: 244,
             current: ForecasterKind::Markov,
             history_of_kinds: vec![
                 ForecasterKind::Ses,
                 ForecasterKind::Markov,
             ],
-            next_block_end: 240,
             exec_secs: 0.5,
         }
     }
@@ -264,6 +279,60 @@ mod tests {
         let text = encode_snapshot(&snap);
         let back = decode_snapshot(&text).expect("decodes");
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn codec_preserves_sample_bits() {
+        // Non-dyadic concurrency averages: a fixed-precision encoding
+        // would round every one of them.
+        let recent = vec![1.0 / 3.0, 0.1 + 0.2, 2.0 / 7.0, 1e-7 / 3.0];
+        let snap = ManagerSnapshot {
+            recent: recent.clone(),
+            ..snapshot()
+        };
+        let back =
+            decode_snapshot(&encode_snapshot(&snap)).expect("decodes");
+        for (want, got) in recent.iter().zip(&back.recent) {
+            assert_eq!(want.to_bits(), got.to_bits(), "{want} vs {got}");
+        }
+        assert_eq!(back.recent.len(), recent.len());
+    }
+
+    #[test]
+    fn restore_at_every_step_continues_bit_identically() {
+        let model = trained_model();
+        let n = model.cfg.block_len * 3 + 17;
+        let series: Vec<f64> = (0..n)
+            .map(|t| (t % 7) as f64 / 3.0 + (t as f64 * 0.1).sin().abs())
+            .collect();
+        // The uninterrupted manager: its encoded snapshot before each
+        // step, and the forecast after it.
+        let mut reference = AppManager::new(model.clone(), 0.5);
+        let mut snaps = Vec::with_capacity(n);
+        let mut forecasts = Vec::with_capacity(n);
+        for &v in &series {
+            snaps.push(encode_snapshot(&reference.snapshot()));
+            reference.observe(v);
+            forecasts.push(reference.forecast(1)[0].to_bits());
+        }
+        for (k, text) in snaps.iter().enumerate() {
+            let snap = decode_snapshot(text).expect("decodes");
+            assert_eq!(snap.steps, k);
+            let mut restored = AppManager::from_snapshot(model.clone(), snap);
+            for t in k..n {
+                restored.observe(series[t]);
+                assert_eq!(
+                    restored.forecast(1)[0].to_bits(),
+                    forecasts[t],
+                    "restored at step {k}, forecast at step {t}"
+                );
+            }
+            assert_eq!(
+                restored.history_of_kinds, reference.history_of_kinds,
+                "restored at step {k}"
+            );
+            assert_eq!(restored.snapshot(), reference.snapshot());
+        }
     }
 
     #[test]
@@ -303,13 +372,51 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_values_still_decode() {
-        let snap = snapshot();
-        // The exact layout the pre-checksum codec wrote.
-        let text = "v1\ncurrent=markov\nnext_block_end=240\n\
-                    exec_secs=0.5\nhistory=exp-smoothing,markov\n\
-                    series=0.000000000,1.500000000,2.250000000,0.125000000";
-        assert_eq!(decode_snapshot(text), Some(snap));
+    fn legacy_full_series_snapshots_decode_and_restore() {
+        let model = trained_model();
+        // Quarter steps are exact at the legacy codec's nine decimals.
+        let series: Vec<f64> =
+            (0..75).map(|t| ((t * 7) % 13) as f64 / 4.0).collect();
+        let mut original = AppManager::new(model.clone(), 0.5);
+        for &v in &series {
+            original.observe(v);
+        }
+        // The exact layout the pre-`v3` codec wrote: `next_block_end`
+        // and the whole series, checksum-less (`v1`) or checksummed.
+        let kinds: Vec<&str> =
+            original.history_of_kinds.iter().map(|k| k.name()).collect();
+        let values: Vec<String> =
+            series.iter().map(|v| format!("{v:.9}")).collect();
+        let body = format!(
+            "current={}\nnext_block_end=120\nexec_secs=0.5\n\
+             history={}\nseries={}",
+            original.current().name(),
+            kinds.join(","),
+            values.join(",")
+        );
+        let crc = fnv1a64(body.as_bytes());
+        let mut restored: Vec<AppManager> =
+            [format!("v1\n{body}"), format!("v2\ncrc={crc:016x}\n{body}")]
+                .iter()
+                .map(|text| {
+                    let snap = decode_snapshot(text).expect("decodes");
+                    assert_eq!((snap.steps, snap.recent.len()), (75, 75));
+                    AppManager::from_snapshot(model.clone(), snap)
+                })
+                .collect();
+        for mgr in &restored {
+            assert_eq!(mgr.snapshot(), original.snapshot());
+        }
+        for t in 0..90 {
+            let v = (t % 5) as f64 / 2.0;
+            let want = (original.observe(v), original.forecast(1));
+            for mgr in &mut restored {
+                assert_eq!((mgr.observe(v), mgr.forecast(1)), want);
+            }
+        }
+        for mgr in &restored {
+            assert_eq!(mgr.history_of_kinds, original.history_of_kinds);
+        }
     }
 
     #[test]
@@ -343,8 +450,8 @@ mod tests {
         let store = StateStore::new();
         let old = snapshot();
         let mut new = snapshot();
-        new.series.push(9.75);
-        new.next_block_end = 480;
+        new.recent.push(9.75);
+        new.steps += 1;
         store.put_snapshot("apps/7", &old);
         store.put_snapshot("apps/7", &new);
 

@@ -8,16 +8,21 @@
 //! id), and decisions are the same wherever it lives. Wall-clock tick
 //! latencies are measured per shard for the capacity bench and
 //! deliberately excluded from the digest.
+//!
+//! Each app is driven by the one FeMux per-app controller,
+//! [`femux::manager::AppManager`]; the harness adds only what is
+//! specific to serving: the injected report-loss draw, the per-app
+//! pod-target tallies, and the `classify`/`actuate` trace events.
 
 use std::sync::Arc;
 
+use femux::manager::{AppManager, KNATIVE_TARGET_UTILIZATION};
 use femux::model::FemuxModel;
-use femux_fault::{FaultConfig, FaultStats};
+use femux_fault::{AppFaults, FaultConfig, FaultStats};
 use femux_forecast::ForecasterKind;
 use femux_trace::ingest::{IngestError, MonotonePolicy};
 use femux_trace::{AppId, Trace};
 
-use crate::app::ServedApp;
 use crate::feed::{AppFeed, TraceFeed};
 use crate::shard_of;
 
@@ -27,7 +32,8 @@ pub struct ServeConfig {
     /// Worker shards; 0 means `FEMUX_THREADS` (the femux-par pool
     /// size). The digest is shard-count invariant either way.
     pub shards: usize,
-    /// Per-pod utilization headroom (Knative default 0.7).
+    /// Per-pod utilization headroom (default
+    /// [`KNATIVE_TARGET_UTILIZATION`]).
     pub utilization: f64,
     /// What to do with non-monotone trace timestamps at ingest.
     pub ingest: MonotonePolicy,
@@ -42,7 +48,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             shards: 0,
-            utilization: 0.7,
+            utilization: KNATIVE_TARGET_UTILIZATION,
             ingest: MonotonePolicy::Reject,
             faults: None,
             measure_latency: false,
@@ -55,8 +61,7 @@ impl Default for ServeConfig {
 pub struct AppOutcome {
     /// The app.
     pub id: AppId,
-    /// Forecaster decision log (mirror of
-    /// `AppManager::history_of_kinds`).
+    /// Forecaster decision log (`AppManager::history_of_kinds`).
     pub decisions: Vec<ForecasterKind>,
     /// Completed blocks.
     pub blocks: usize,
@@ -193,28 +198,123 @@ pub fn run(
     })
 }
 
+/// One served app: its controller plus the serving-only state.
+struct Served<'a> {
+    idx: usize,
+    feed: &'a AppFeed,
+    manager: AppManager,
+    /// Injected engine faults (report loss), if serving under a plan.
+    engine_faults: Option<AppFaults>,
+    /// Tallies so far; `decisions` and `forecast_faults` are filled in
+    /// from the manager at the end.
+    outcome: AppOutcome,
+}
+
+impl Served<'_> {
+    /// Serves one virtual-clock step: ingest the concurrency report
+    /// (re-classifying at a block boundary), forecast one step ahead,
+    /// and tally the pod target.
+    fn step(&mut self, step: usize, utilization: f64) {
+        // Injected report loss arrives as a NaN sample, exercising the
+        // same sanitization path a production report gap would.
+        let lost = self
+            .engine_faults
+            .as_mut()
+            .is_some_and(|e| e.lose_report());
+        let value = if lost {
+            self.outcome.reports_lost += 1;
+            f64::NAN
+        } else {
+            self.feed.samples.get(step).copied().unwrap_or(0.0)
+        };
+        if !value.is_finite() {
+            self.outcome.nonfinite_samples += 1;
+        }
+        let track = || format!("serve/app-{}", self.feed.id.0);
+        if let Some(block) = self.manager.observe(value) {
+            self.outcome.blocks += 1;
+            if femux_obs::events_enabled() {
+                femux_obs::span(
+                    &track(),
+                    "serve",
+                    "classify",
+                    virtual_ts_us(step),
+                    0,
+                    &[
+                        ("block", block.seq as u64),
+                        ("idle", block.idle as u64),
+                    ],
+                );
+            }
+        }
+        let pred = self.manager.forecast(1)[0];
+        // Knative-style actuation: provision the forecast against the
+        // per-pod concurrency target scaled by the utilization headroom
+        // (cf. FemuxPolicy::target_pods + PolicyCtx::pods_for_concurrency).
+        let target = pred / utilization.clamp(0.05, 1.0);
+        let pods = if target <= 0.0 {
+            0
+        } else {
+            (target / self.feed.concurrency_limit.max(1) as f64).ceil()
+                as usize
+        };
+        self.outcome.target_pod_sum += pods as u64;
+        self.outcome.target_pod_max = self.outcome.target_pod_max.max(pods);
+        femux_obs::observe("serve.target_pods", pods as u64);
+        if femux_obs::events_enabled() {
+            femux_obs::instant(
+                &track(),
+                "serve",
+                "actuate",
+                virtual_ts_us(step),
+                &[("pods", pods as u64)],
+            );
+        }
+    }
+}
+
+/// Virtual timestamp of a serving step: one trace minute per step.
+fn virtual_ts_us(step: usize) -> u64 {
+    step as u64 * 60_000_000
+}
+
 fn run_shard(
     group: &[(usize, &AppFeed)],
     model: &Arc<FemuxModel>,
     cfg: &ServeConfig,
     steps: usize,
 ) -> ShardResult {
-    let mut apps: Vec<(usize, &AppFeed, ServedApp)> = group
+    let mut apps: Vec<Served> = group
         .iter()
         .map(|&(idx, feed)| {
-            let mut app = ServedApp::new(
-                feed.id,
-                Arc::clone(model),
-                feed.exec_secs,
-                feed.concurrency_limit,
-            );
-            if let Some(plan) = &cfg.faults {
-                app = app.with_faults(
-                    plan.forecast_faults(feed.id),
-                    plan.engine_faults(feed.id),
-                );
+            let model = Arc::clone(model);
+            let (manager, engine_faults) = match &cfg.faults {
+                Some(plan) => (
+                    AppManager::with_faults(
+                        model,
+                        feed.exec_secs,
+                        plan.forecast_faults(feed.id),
+                    ),
+                    Some(plan.engine_faults(feed.id)),
+                ),
+                None => (AppManager::new(model, feed.exec_secs), None),
+            };
+            Served {
+                idx,
+                feed,
+                manager,
+                engine_faults,
+                outcome: AppOutcome {
+                    id: feed.id,
+                    decisions: Vec::new(),
+                    blocks: 0,
+                    reports_lost: 0,
+                    nonfinite_samples: 0,
+                    target_pod_sum: 0,
+                    target_pod_max: 0,
+                    forecast_faults: 0,
+                },
             }
-            (idx, feed, app)
         })
         .collect();
     let mut tick_wall_us =
@@ -225,9 +325,8 @@ fn run_shard(
         } else {
             0
         };
-        for (_, feed, app) in &mut apps {
-            let sample = feed.samples.get(t).copied().unwrap_or(0.0);
-            app.step(t, sample, cfg.utilization);
+        for app in &mut apps {
+            app.step(t, cfg.utilization);
         }
         if cfg.measure_latency {
             let now = femux_obs::walltime::monotonic_micros();
@@ -238,22 +337,16 @@ fn run_shard(
     let mut stats = FaultStats::default();
     let outcomes = apps
         .into_iter()
-        .map(|(idx, _, app)| {
-            let app_stats = app.fault_stats();
+        .map(|app| {
+            let mut app_stats = app.manager.fault_stats();
+            if let Some(e) = &app.engine_faults {
+                app_stats.merge(&e.stats);
+            }
             stats.merge(&app_stats);
-            (
-                idx,
-                AppOutcome {
-                    id: app.id(),
-                    blocks: app.blocks,
-                    reports_lost: app.reports_lost,
-                    nonfinite_samples: app.nonfinite_samples,
-                    target_pod_sum: app.target_pod_sum,
-                    target_pod_max: app.target_pod_max,
-                    forecast_faults: app_stats.forecast_faults,
-                    decisions: app.decisions,
-                },
-            )
+            let mut outcome = app.outcome;
+            outcome.forecast_faults = app_stats.forecast_faults;
+            outcome.decisions = app.manager.history_of_kinds;
+            (app.idx, outcome)
         })
         .collect();
     ShardResult {
@@ -329,6 +422,32 @@ mod tests {
         let expected: Vec<u32> =
             trace.apps.iter().map(|a| a.id.0).collect();
         assert_eq!(ids, expected);
+    }
+
+    #[test]
+    fn report_loss_sanitizes_to_zero_sample() {
+        // Every report is lost and no forecast is corrupted: each app
+        // must serve exactly like an idle one (all-zero samples), not
+        // crash or emit NaN.
+        let mut trace = generate(&IbmFleetConfig::small(10));
+        trace.apps.truncate(6);
+        let cfg = ServeConfig {
+            shards: 1,
+            faults: Some(FaultConfig {
+                report_loss_rate: 1.0,
+                ..FaultConfig::off(5)
+            }),
+            ..ServeConfig::default()
+        };
+        let report = run(&trace, model(), &cfg).unwrap();
+        let steps = report.steps as u64;
+        assert_eq!(report.totals.report_losses, steps * 6);
+        for app in &report.apps {
+            assert_eq!(app.reports_lost, steps);
+            assert_eq!(app.nonfinite_samples, steps);
+            assert_eq!(app.target_pod_max, 0, "lost reports read as idle");
+            assert_eq!(app.forecast_faults, 0);
+        }
     }
 
     #[test]

@@ -9,15 +9,14 @@
 //!   `FEMUX_THREADS` worker shards, assigned by the stable FNV-1a hash
 //!   of the app id. Assignment depends only on the id and the shard
 //!   count, never on arrival order or scheduling.
-//! - **Incremental features** ([`femux_features::IncrementalExtractor`]):
-//!   ADF/BDS/harmonic/density features are maintained per sample over a
-//!   fixed-capacity block buffer, with block-boundary output bit-for-bit
-//!   equal to the batch extractor (the parity gate).
-//! - **Online re-classification** ([`app::ServedApp`]): at every block
-//!   boundary the k-means router picks the next forecaster, and the
-//!   [`femux::degrade::DegradeLadder`] — the same state machine
-//!   `AppManager` uses offline — handles demotion, backoff, and
-//!   re-promotion when forecasts panic or go non-finite.
+//! - **One controller** ([`femux::manager::AppManager`]): every app is
+//!   driven by the same bounded-memory per-app manager the offline
+//!   replay uses. Its features are maintained per sample
+//!   ([`femux_features::IncrementalExtractor`]), bit-for-bit equal to
+//!   the batch extractor at every block boundary (the parity gate); at
+//!   each boundary the k-means router picks the next forecaster, and
+//!   the degradation ladder handles demotion, backoff, and re-promotion
+//!   when forecasts panic or go non-finite.
 //! - **Determinism** ([`harness::ServeReport::digest`]): same trace +
 //!   seed ⇒ byte-identical decisions and metrics at *any* shard count.
 //!   Wall-clock tick latencies are measured (for the capacity bench)
@@ -28,11 +27,9 @@
 //! ([`femux_trace::ingest`]), so non-monotone history is rejected or
 //! clamped, never silently reordered.
 
-pub mod app;
 pub mod feed;
 pub mod harness;
 
-pub use app::ServedApp;
 pub use feed::{AppFeed, TraceFeed};
 pub use harness::{run, AppOutcome, ServeConfig, ServeReport};
 
