@@ -180,6 +180,114 @@ pub fn rolling_forecast(
     out
 }
 
+/// History windows for the forecaster tests.
+#[cfg(test)]
+pub(crate) mod test_windows {
+    use femux_trace::repr::concurrency_per_minute;
+    use femux_trace::synth::azure::{self, AzureFleetConfig};
+    use femux_trace::synth::ibm::{self, IbmFleetConfig};
+
+    /// The known numerical trouble-makers: degenerate windows, extreme
+    /// dynamic range, and magnitudes where squared errors overflow.
+    pub(crate) fn adversarial() -> Vec<(&'static str, Vec<f64>)> {
+        vec![
+            ("empty", Vec::new()),
+            ("single", vec![2.0]),
+            ("all-zeros", vec![0.0; 150]),
+            ("constant", vec![3.5; 150]),
+            (
+                "spikes-1e6",
+                (0..150)
+                    .map(|t| if t % 17 == 0 { 1e6 } else { 0.1 })
+                    .collect(),
+            ),
+            (
+                "spikes-1e150",
+                (0..150)
+                    .map(|t| if t % 13 == 0 { 1e150 } else { 1.0 })
+                    .collect(),
+            ),
+            (
+                "alternating-extremes",
+                (0..150)
+                    .map(|t| if t % 2 == 0 { 1e-300 } else { 1e300 })
+                    .collect(),
+            ),
+            (
+                "mixed-sign-extremes",
+                (0..150)
+                    .map(|t| if t % 2 == 0 { f64::MAX } else { -f64::MAX })
+                    .collect(),
+            ),
+        ]
+    }
+
+    /// The bit-identity sweep: 120-step windows (the paper's history)
+    /// cut from seeded IBM-like and Azure-like fleets, sparse and
+    /// all-zero windows, windows whose octiles repeat (SETAR's threshold
+    /// candidates), and the adversarial battery.
+    pub(crate) fn sweep() -> Vec<(String, Vec<f64>)> {
+        let mut series = Vec::new();
+        for seed in [3, 11] {
+            let trace = ibm::generate(&IbmFleetConfig {
+                n_apps: 6,
+                span_days: 1,
+                seed,
+                max_invocations_per_app: 20_000,
+                rate_scale: 1.0,
+            });
+            for (i, app) in trace.apps.iter().enumerate() {
+                let minutes =
+                    concurrency_per_minute(&app.invocations, trace.span_ms);
+                series.push((format!("ibm-{seed}-{i}"), minutes));
+            }
+            let fleet = azure::generate(&AzureFleetConfig {
+                n_apps: 6,
+                days: 1,
+                seed,
+                rate_scale: 4.0,
+            });
+            for (i, app) in fleet.apps.iter().enumerate() {
+                series.push((
+                    format!("azure-{seed}-{i}"),
+                    app.concurrency_series(),
+                ));
+            }
+        }
+        let mut windows = Vec::new();
+        for (name, minutes) in &series {
+            for start in [0, 410, 800, 1320] {
+                let end = (start + 120).min(minutes.len());
+                windows.push((
+                    format!("{name}@{start}"),
+                    minutes[start..end].to_vec(),
+                ));
+            }
+        }
+        windows.push((
+            "sparse".into(),
+            (0..120)
+                .map(|t| if t % 29 == 3 { 0.5 * (t % 4) as f64 } else { 0.0 })
+                .collect(),
+        ));
+        windows.push(("all-zero".into(), vec![0.0; 120]));
+        windows.push((
+            "repeated-octiles".into(),
+            (0..120).map(|t| [0.0, 0.0, 1.0, 1.0, 1.0, 2.5][t % 6]).collect(),
+        ));
+        windows.push((
+            "ramp".into(),
+            (0..120).map(|t| 0.25 * t as f64).collect(),
+        ));
+        windows.extend(
+            adversarial()
+                .into_iter()
+                .map(|(name, history)| (name.to_string(), history)),
+        );
+        windows
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,34 +336,8 @@ mod tests {
     #[test]
     fn every_forecaster_survives_adversarial_histories() {
         // Property: whatever (finite) history a forecaster is fed, its
-        // output is exactly `horizon` finite, non-negative values. The
-        // histories below are the known numerical trouble-makers:
-        // degenerate windows, extreme dynamic range, and magnitudes
-        // where squared errors overflow.
-        let adversarial: Vec<(&str, Vec<f64>)> = vec![
-            ("empty", Vec::new()),
-            ("single", vec![2.0]),
-            ("all-zeros", vec![0.0; 150]),
-            ("constant", vec![3.5; 150]),
-            (
-                "spikes-1e6",
-                (0..150)
-                    .map(|t| if t % 17 == 0 { 1e6 } else { 0.1 })
-                    .collect(),
-            ),
-            (
-                "spikes-1e150",
-                (0..150)
-                    .map(|t| if t % 13 == 0 { 1e150 } else { 1.0 })
-                    .collect(),
-            ),
-            (
-                "alternating-extremes",
-                (0..150)
-                    .map(|t| if t % 2 == 0 { 1e-300 } else { 1e300 })
-                    .collect(),
-            ),
-        ];
+        // output is exactly `horizon` finite, non-negative values.
+        let adversarial = test_windows::adversarial();
         for (label, history) in &adversarial {
             for kind in ForecasterKind::ALL {
                 let mut f = kind.build();

@@ -6,8 +6,17 @@
 //! `x_{t-d}` falls. FeMux configures 10 lags and up to two thresholds
 //! (§4.3.3). Thresholds are grid-searched over quantiles of the window to
 //! minimize in-sample squared error; each regime gets its own OLS fit.
+//!
+//! Each threshold candidate is fitted straight from the window: every
+//! row `[1, x_{t-1}, …, x_{t-p}]` is folded, in row order, into its
+//! regime's [`NormalEquations`] (the fold behind `femux_stats`'s `ols`),
+//! and the in-sample SSE is scored in place, with no per-candidate
+//! matrix or per-row allocation. That is the same floating-point work,
+//! in the same order, as building each regime's design matrix and
+//! calling `ols`, so every fit and forecast is bit-identical to that
+//! path, which the tests keep as the reference.
 
-use femux_stats::matrix::{ols, Matrix};
+use femux_stats::matrix::NormalEquations;
 
 use crate::Forecaster;
 
@@ -23,17 +32,6 @@ pub struct SetarForecaster {
 #[derive(Debug, Clone)]
 struct Regime {
     beta: Vec<f64>,
-}
-
-impl Regime {
-    fn predict(&self, lags: &[f64]) -> f64 {
-        self.beta[0]
-            + lags
-                .iter()
-                .zip(&self.beta[1..])
-                .map(|(x, b)| x * b)
-                .sum::<f64>()
-    }
 }
 
 /// A fitted SETAR model: sorted thresholds and one regime per segment.
@@ -55,10 +53,11 @@ impl Fitted {
     fn predict_next(&self, recent: &[f64]) -> f64 {
         let n = recent.len();
         let trigger = recent[n - self.delay];
-        let regime = &self.regimes[self.regime_index(trigger)];
-        let lags: Vec<f64> =
-            (0..self.order).map(|i| recent[n - 1 - i]).collect();
-        regime.predict(&lags)
+        let beta = &self.regimes[self.regime_index(trigger)].beta;
+        beta[0]
+            + (0..self.order)
+                .map(|i| recent[n - 1 - i] * beta[1 + i])
+                .sum::<f64>()
     }
 }
 
@@ -98,31 +97,26 @@ impl SetarForecaster {
         if n_rows < (p + 2) * n_regimes {
             return None;
         }
-        // Partition sample rows by regime.
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n_regimes];
+        let mut systems = vec![NormalEquations::new(p + 1); n_regimes];
+        let mut counts = vec![0usize; n_regimes];
+        let mut row = vec![1.0; p + 1];
         for t in start..history.len() {
             let trigger = history[t - d];
             let idx =
                 thresholds.iter().filter(|th| trigger > **th).count();
-            rows[idx].push(t);
-        }
-        let mut regimes = Vec::with_capacity(n_regimes);
-        for regime_rows in &rows {
-            if regime_rows.len() < p + 2 {
-                return None;
+            for i in 0..p {
+                row[1 + i] = history[t - 1 - i];
             }
-            let mut design = Matrix::zeros(regime_rows.len(), p + 1);
-            let mut target = Vec::with_capacity(regime_rows.len());
-            for (r, &t) in regime_rows.iter().enumerate() {
-                design[(r, 0)] = 1.0;
-                for i in 0..p {
-                    design[(r, 1 + i)] = history[t - 1 - i];
-                }
-                target.push(history[t]);
-            }
-            let beta = ols(&design, &target)?;
-            regimes.push(Regime { beta });
+            systems[idx].push_row(&row, history[t]);
+            counts[idx] += 1;
         }
+        if counts.iter().any(|&c| c < p + 2) {
+            return None;
+        }
+        let regimes = systems
+            .iter()
+            .map(|system| system.solve().map(|beta| Regime { beta }))
+            .collect::<Option<Vec<_>>>()?;
         let fitted = Fitted {
             thresholds: thresholds.to_vec(),
             regimes,
@@ -139,8 +133,10 @@ impl SetarForecaster {
         Some((fitted, sse))
     }
 
-    fn fit(&self, history: &[f64]) -> Option<Fitted> {
-        // Candidate thresholds: interior quantiles of the window.
+    /// The threshold vectors the fit tries, in order: none, each interior
+    /// octile of the window, then each pair of octiles at least two
+    /// apart (up to `max_thresholds`).
+    fn threshold_sets(&self, history: &[f64]) -> Vec<Vec<f64>> {
         let mut sorted = history.to_vec();
         sorted.sort_by(|a, b| {
             a.partial_cmp(b).expect("values must not be NaN")
@@ -150,33 +146,32 @@ impl SetarForecaster {
                 femux_stats::desc::quantile_sorted(&sorted, q as f64 / 8.0)
             })
             .collect();
-        let mut best: Option<(Fitted, f64)> =
-            self.fit_with_thresholds(history, &[]);
+        let mut sets = vec![Vec::new()];
         if self.max_thresholds >= 1 {
-            for &c in &candidates {
-                if let Some((m, sse)) =
-                    self.fit_with_thresholds(history, &[c])
-                {
-                    if best.as_ref().is_none_or(|(_, b)| sse < *b) {
-                        best = Some((m, sse));
-                    }
-                }
-            }
+            sets.extend(candidates.iter().map(|&c| vec![c]));
         }
         if self.max_thresholds >= 2 {
             for i in 0..candidates.len() {
                 for j in (i + 2)..candidates.len() {
-                    let pair = [candidates[i], candidates[j]];
-                    if pair[0] >= pair[1] {
-                        continue;
+                    if candidates[i] < candidates[j] {
+                        sets.push(vec![candidates[i], candidates[j]]);
                     }
-                    if let Some((m, sse)) =
-                        self.fit_with_thresholds(history, &pair)
-                    {
-                        if best.as_ref().is_none_or(|(_, b)| sse < *b) {
-                            best = Some((m, sse));
-                        }
-                    }
+                }
+            }
+        }
+        sets
+    }
+
+    /// The candidate with the lowest in-sample SSE; the first one wins a
+    /// tie.
+    fn fit(&self, history: &[f64]) -> Option<Fitted> {
+        let mut best: Option<(Fitted, f64)> = None;
+        for thresholds in self.threshold_sets(history) {
+            if let Some((m, sse)) =
+                self.fit_with_thresholds(history, &thresholds)
+            {
+                if best.as_ref().is_none_or(|(_, b)| sse < *b) {
+                    best = Some((m, sse));
                 }
             }
         }
@@ -217,7 +212,156 @@ impl Forecaster for SetarForecaster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_windows;
+    use femux_stats::matrix::{ols, Matrix};
     use femux_stats::rng::Rng;
+
+    /// The design-matrix-plus-`ols` fit the normal-equations fold
+    /// replaced, kept verbatim (with its allocating lag-vector predictor)
+    /// as the bit-identity reference.
+    fn reference_fit_with_thresholds(
+        f: &SetarForecaster,
+        history: &[f64],
+        thresholds: &[f64],
+    ) -> Option<(Fitted, f64)> {
+        let p = f.order;
+        let d = f.delay;
+        let start = p.max(d);
+        let n_rows = history.len().saturating_sub(start);
+        let n_regimes = thresholds.len() + 1;
+        if n_rows < (p + 2) * n_regimes {
+            return None;
+        }
+        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n_regimes];
+        for t in start..history.len() {
+            let trigger = history[t - d];
+            let idx =
+                thresholds.iter().filter(|th| trigger > **th).count();
+            rows[idx].push(t);
+        }
+        let mut regimes = Vec::with_capacity(n_regimes);
+        for regime_rows in &rows {
+            if regime_rows.len() < p + 2 {
+                return None;
+            }
+            let mut design = Matrix::zeros(regime_rows.len(), p + 1);
+            let mut target = Vec::with_capacity(regime_rows.len());
+            for (r, &t) in regime_rows.iter().enumerate() {
+                design[(r, 0)] = 1.0;
+                for i in 0..p {
+                    design[(r, 1 + i)] = history[t - 1 - i];
+                }
+                target.push(history[t]);
+            }
+            let beta = ols(&design, &target)?;
+            regimes.push(Regime { beta });
+        }
+        let fitted = Fitted {
+            thresholds: thresholds.to_vec(),
+            regimes,
+            order: p,
+            delay: d,
+        };
+        let mut sse = 0.0;
+        for t in start..history.len() {
+            let pred = reference_predict_next(&fitted, &history[..t]);
+            let err = history[t] - pred;
+            sse += err * err;
+        }
+        Some((fitted, sse))
+    }
+
+    fn reference_predict_next(fitted: &Fitted, recent: &[f64]) -> f64 {
+        let n = recent.len();
+        let trigger = recent[n - fitted.delay];
+        let beta = &fitted.regimes[fitted.regime_index(trigger)].beta;
+        let lags: Vec<f64> =
+            (0..fitted.order).map(|i| recent[n - 1 - i]).collect();
+        beta[0]
+            + lags.iter().zip(&beta[1..]).map(|(x, b)| x * b).sum::<f64>()
+    }
+
+    /// `forecast` over the reference fit.
+    fn reference_forecast(
+        f: &SetarForecaster,
+        history: &[f64],
+        horizon: usize,
+    ) -> Vec<f64> {
+        if history.is_empty() || horizon == 0 {
+            return vec![0.0; horizon];
+        }
+        let mut best: Option<(Fitted, f64)> = None;
+        for thresholds in f.threshold_sets(history) {
+            if let Some((m, sse)) =
+                reference_fit_with_thresholds(f, history, &thresholds)
+            {
+                if best.as_ref().is_none_or(|(_, b)| sse < *b) {
+                    best = Some((m, sse));
+                }
+            }
+        }
+        let Some((model, _)) = best else {
+            return vec![history[history.len() - 1].max(0.0); horizon];
+        };
+        let cap = 10.0
+            * (1.0 + history.iter().fold(0.0f64, |a, &b| a.max(b)));
+        let mut series = history.to_vec();
+        let mut out = Vec::with_capacity(horizon);
+        for _ in 0..horizon {
+            let pred =
+                reference_predict_next(&model, &series).clamp(0.0, cap);
+            series.push(pred);
+            out.push(pred);
+        }
+        crate::sanitize_forecast(&mut out);
+        out
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every number a fit carries, as bits.
+    fn fit_bits(fit: Option<(Fitted, f64)>) -> Option<Vec<u64>> {
+        fit.map(|(m, sse)| {
+            let mut all = bits(&m.thresholds);
+            for regime in &m.regimes {
+                all.extend(bits(&regime.beta));
+            }
+            all.push(sse.to_bits());
+            all
+        })
+    }
+
+    #[test]
+    fn fold_matches_the_design_matrix_fit_bit_for_bit() {
+        for f in [SetarForecaster::paper(), SetarForecaster::new(3, 1, 2)] {
+            for (name, history) in test_windows::sweep() {
+                if !history.is_empty() {
+                    for thresholds in f.threshold_sets(&history) {
+                        let fit = f.fit_with_thresholds(&history, &thresholds);
+                        let want = reference_fit_with_thresholds(
+                            &f,
+                            &history,
+                            &thresholds,
+                        );
+                        assert_eq!(
+                            fit_bits(fit),
+                            fit_bits(want),
+                            "{name}: thresholds {thresholds:?}"
+                        );
+                    }
+                }
+                for horizon in [1, 10] {
+                    assert_eq!(
+                        bits(&f.clone().forecast(&history, horizon)),
+                        bits(&reference_forecast(&f, &history, horizon)),
+                        "{name}: horizon {horizon}"
+                    );
+                }
+            }
+        }
+    }
 
     /// Generates a two-regime threshold process.
     fn setar_series(n: usize, seed: u64) -> Vec<f64> {

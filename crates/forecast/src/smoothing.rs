@@ -6,21 +6,42 @@
 //! term. Both select their smoothing parameters dynamically by minimizing
 //! one-step-ahead squared error on the window (§4.3.3 "dynamic parameter
 //! selection").
+//!
+//! # Lanes
+//!
+//! Each grid point's run is a serial recurrence over the window, so run
+//! one after another the search is bound by the latency of that chain.
+//! The grid points are independent, though: both forecasters keep one
+//! struct-of-arrays lane per point (9 for SES, 54 (α, β) pairs for Holt)
+//! and advance every lane at each sample, a loop the compiler
+//! vectorizes. Each lane performs the same floating-point operations on
+//! the same operands in the same order as a lone run of its point, and
+//! the winner is chosen with each forecaster's original rule, so every
+//! forecast is bit-identical to the point-by-point search (kept as the
+//! test reference).
 
 use crate::Forecaster;
 
 /// Candidate smoothing parameters for the dynamic grid search.
 const GRID: [f64; 9] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 0.95];
 
-/// Runs SES over the series and returns (final level, SSE of one-step
-/// errors).
-fn ses_run(history: &[f64], alpha: f64) -> (f64, f64) {
-    let mut level = history[0];
-    let mut sse = 0.0;
+/// Holt searches every α in [`GRID`] with the first six as β.
+const HOLT_BETAS: usize = 6;
+
+/// Holt lanes: lane `a * HOLT_BETAS + b` runs α = `GRID[a]`, β = `GRID[b]`.
+const HOLT_LANES: usize = GRID.len() * HOLT_BETAS;
+
+/// Runs SES for every α in [`GRID`] at once; returns each lane's final
+/// level and SSE of one-step errors.
+fn ses_lanes(history: &[f64]) -> ([f64; GRID.len()], [f64; GRID.len()]) {
+    let mut level = [history[0]; GRID.len()];
+    let mut sse = [0.0; GRID.len()];
     for &x in &history[1..] {
-        let err = x - level;
-        sse += err * err;
-        level += alpha * err;
+        for l in 0..GRID.len() {
+            let err = x - level[l];
+            sse[l] += err * err;
+            level[l] += GRID[l] * err;
+        }
     }
     (level, sse)
 }
@@ -41,31 +62,46 @@ impl Forecaster for SesForecaster {
         if history.len() == 1 {
             return vec![history[0].max(0.0); horizon];
         }
-        let (level, _) = GRID
-            .iter()
-            .map(|&a| ses_run(history, a))
-            .min_by(|a, b| {
-                a.1.partial_cmp(&b.1).expect("SSE values are finite")
-            })
-            .expect("grid is non-empty");
+        let (level, sse) = ses_lanes(history);
+        // The first minimum SSE wins; a lane whose SSE went NaN (its
+        // level overflowed both ways) never does. No winner forecasts 0.
+        let mut best: Option<usize> = None;
+        for l in 0..GRID.len() {
+            if !sse[l].is_nan() && best.is_none_or(|b| sse[l] < sse[b]) {
+                best = Some(l);
+            }
+        }
+        let level = best.map_or(0.0, |b| level[b]);
         let mut out = vec![level.max(0.0); horizon];
         crate::sanitize_forecast(&mut out);
         out
     }
 }
 
-/// Runs Holt smoothing and returns (level, trend, SSE).
-fn holt_run(history: &[f64], alpha: f64, beta: f64) -> (f64, f64, f64) {
-    let mut level = history[0];
-    let mut trend = history[1] - history[0];
-    let mut sse = 0.0;
+/// Runs Holt smoothing for every (α, β) lane at once; returns each
+/// lane's final level, trend and SSE of one-step errors.
+fn holt_lanes(
+    history: &[f64],
+) -> ([f64; HOLT_LANES], [f64; HOLT_LANES], [f64; HOLT_LANES]) {
+    let alpha: [f64; HOLT_LANES] =
+        std::array::from_fn(|l| GRID[l / HOLT_BETAS]);
+    let beta: [f64; HOLT_LANES] =
+        std::array::from_fn(|l| GRID[l % HOLT_BETAS]);
+    let keep_level = alpha.map(|a| 1.0 - a);
+    let keep_trend = beta.map(|b| 1.0 - b);
+    let mut level = [history[0]; HOLT_LANES];
+    let mut trend = [history[1] - history[0]; HOLT_LANES];
+    let mut sse = [0.0; HOLT_LANES];
     for &x in &history[1..] {
-        let pred = level + trend;
-        let err = x - pred;
-        sse += err * err;
-        let new_level = alpha * x + (1.0 - alpha) * (level + trend);
-        trend = beta * (new_level - level) + (1.0 - beta) * trend;
-        level = new_level;
+        for l in 0..HOLT_LANES {
+            let pred = level[l] + trend[l];
+            let err = x - pred;
+            sse[l] += err * err;
+            let new_level = alpha[l] * x + keep_level[l] * pred;
+            trend[l] =
+                beta[l] * (new_level - level[l]) + keep_trend[l] * trend[l];
+            level[l] = new_level;
+        }
     }
     (level, trend, sse)
 }
@@ -81,6 +117,90 @@ impl Forecaster for HoltForecaster {
     }
 
     fn forecast(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
+        if history.is_empty() || horizon == 0 {
+            return vec![0.0; horizon];
+        }
+        if history.len() < 3 {
+            return vec![history[history.len() - 1].max(0.0); horizon];
+        }
+        let (levels, trends, sses) = holt_lanes(history);
+        // The first SSE strictly below the best so far wins, starting
+        // from +inf: if every SSE overflowed, level and trend stay 0.
+        let mut best = (f64::INFINITY, 0.0, 0.0);
+        for l in 0..HOLT_LANES {
+            if sses[l] < best.0 {
+                best = (sses[l], levels[l], trends[l]);
+            }
+        }
+        let (_, level, trend) = best;
+        let mut out: Vec<f64> = (1..=horizon)
+            .map(|h| (level + trend * h as f64).max(0.0))
+            .collect();
+        crate::sanitize_forecast(&mut out);
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_windows;
+    use femux_stats::rng::Rng;
+
+    /// One SES grid point run alone: the point-by-point search the lanes
+    /// replaced, kept verbatim as their bit-identity reference.
+    fn ses_run(history: &[f64], alpha: f64) -> (f64, f64) {
+        let mut level = history[0];
+        let mut sse = 0.0;
+        for &x in &history[1..] {
+            let err = x - level;
+            sse += err * err;
+            level += alpha * err;
+        }
+        (level, sse)
+    }
+
+    /// One Holt grid point run alone; see [`ses_run`].
+    fn holt_run(history: &[f64], alpha: f64, beta: f64) -> (f64, f64, f64) {
+        let mut level = history[0];
+        let mut trend = history[1] - history[0];
+        let mut sse = 0.0;
+        for &x in &history[1..] {
+            let pred = level + trend;
+            let err = x - pred;
+            sse += err * err;
+            let new_level = alpha * x + (1.0 - alpha) * (level + trend);
+            trend = beta * (new_level - level) + (1.0 - beta) * trend;
+            level = new_level;
+        }
+        (level, trend, sse)
+    }
+
+    /// SES as the point-by-point search forecast it, or `None` where its
+    /// `min_by` panicked on a NaN SSE.
+    fn reference_ses(history: &[f64], horizon: usize) -> Option<Vec<f64>> {
+        if history.is_empty() || horizon == 0 {
+            return Some(vec![0.0; horizon]);
+        }
+        if history.len() == 1 {
+            return Some(vec![history[0].max(0.0); horizon]);
+        }
+        let runs: Vec<(f64, f64)> =
+            GRID.iter().map(|&a| ses_run(history, a)).collect();
+        if runs.iter().any(|run| run.1.is_nan()) {
+            return None;
+        }
+        let (level, _) = runs
+            .into_iter()
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("not NaN"))
+            .expect("grid is non-empty");
+        let mut out = vec![level.max(0.0); horizon];
+        crate::sanitize_forecast(&mut out);
+        Some(out)
+    }
+
+    /// Holt as the point-by-point search forecast it.
+    fn reference_holt(history: &[f64], horizon: usize) -> Vec<f64> {
         if history.is_empty() || horizon == 0 {
             return vec![0.0; horizon];
         }
@@ -103,12 +223,62 @@ impl Forecaster for HoltForecaster {
         crate::sanitize_forecast(&mut out);
         out
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use femux_stats::rng::Rng;
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn lanes_match_the_point_by_point_search_bit_for_bit() {
+        for (name, history) in test_windows::sweep() {
+            if history.len() >= 2 {
+                let (level, sse) = ses_lanes(&history);
+                for (l, &alpha) in GRID.iter().enumerate() {
+                    let want = ses_run(&history, alpha);
+                    assert_eq!(
+                        bits(&[level[l], sse[l]]),
+                        bits(&[want.0, want.1]),
+                        "{name}: SES lane {l}"
+                    );
+                }
+                let (level, trend, sse) = holt_lanes(&history);
+                for l in 0..HOLT_LANES {
+                    let (a, b) = (GRID[l / HOLT_BETAS], GRID[l % HOLT_BETAS]);
+                    let want = holt_run(&history, a, b);
+                    assert_eq!(
+                        bits(&[level[l], trend[l], sse[l]]),
+                        bits(&[want.0, want.1, want.2]),
+                        "{name}: Holt lane {l}"
+                    );
+                }
+            }
+            for horizon in [1, 10] {
+                assert_eq!(
+                    bits(&HoltForecaster.forecast(&history, horizon)),
+                    bits(&reference_holt(&history, horizon)),
+                    "{name}: Holt at horizon {horizon}"
+                );
+                let ses = SesForecaster.forecast(&history, horizon);
+                if let Some(want) = reference_ses(&history, horizon) {
+                    assert_eq!(
+                        bits(&ses),
+                        bits(&want),
+                        "{name}: SES at horizon {horizon}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ses_skips_nan_lanes_instead_of_panicking() {
+        // The level reaches -inf, then NaN, in every lane.
+        let history: Vec<f64> = (0..150)
+            .map(|t| if t % 2 == 0 { f64::MAX } else { -f64::MAX })
+            .collect();
+        assert!(reference_ses(&history, 3).is_none());
+        assert_eq!(SesForecaster.forecast(&history, 3), vec![0.0; 3]);
+    }
 
     #[test]
     fn ses_tracks_level_shift() {

@@ -11,7 +11,7 @@
 //! The test statistic is the t-ratio of `gamma`; large negative values
 //! reject the unit-root null, i.e. indicate stationarity.
 
-use crate::matrix::{ols_with_errors, Matrix};
+use crate::matrix::{ols_with_errors, Matrix, NormalEquations};
 
 /// Result of an Augmented Dickey-Fuller test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,14 +125,12 @@ pub fn schwert_lags(n: usize) -> usize {
 ///
 /// The regression row for difference index `t` (`[1, y_t, dy_{t-1}, …,
 /// dy_{t-lags}]`, target `dy_t`) becomes available exactly when sample
-/// `t + 1` arrives, so rows are accumulated in arrival order — the same
-/// order the batch test builds its design matrix. The Gram matrix and
-/// `X^T y` accumulations replicate [`Matrix::gram`]'s loop (including
-/// its `== 0.0` row-entry skip and upper-triangle-then-mirror layout)
-/// and `transpose().matvec(y)`'s in-order fold, so every floating-point
-/// operation happens on the same operands in the same order as the
-/// batch path. [`AdfAccumulator::finalize`] then performs the identical
-/// solve / ridge / residual / standard-error sequence.
+/// `t + 1` arrives, so rows are folded into [`NormalEquations`] in
+/// arrival order — the same order, through the same fold, as the batch
+/// test's [`ols_with_errors`]. [`AdfAccumulator::finalize`] then
+/// performs the identical solve / ridge / residual / standard-error
+/// sequence, so every floating-point operation happens on the same
+/// operands in the same order as the batch path.
 ///
 /// This is what lets the online serving harness maintain the
 /// stationarity feature incrementally per sample instead of
@@ -145,10 +143,7 @@ pub struct AdfAccumulator {
     n_seen: usize,
     prev: f64,
     diffs: Vec<f64>,
-    /// `cols × cols` Gram accumulation; only the upper triangle is
-    /// written during streaming, mirroring [`Matrix::gram`].
-    gram: Vec<f64>,
-    rhs: Vec<f64>,
+    system: NormalEquations,
     row: Vec<f64>,
 }
 
@@ -162,8 +157,7 @@ impl AdfAccumulator {
             n_seen: 0,
             prev: 0.0,
             diffs: Vec::new(),
-            gram: vec![0.0; cols * cols],
-            rhs: vec![0.0; cols],
+            system: NormalEquations::new(cols),
             row: vec![0.0; cols],
         }
     }
@@ -198,12 +192,11 @@ impl AdfAccumulator {
         self.n_seen = 0;
         self.prev = 0.0;
         self.diffs.clear();
-        self.gram.iter_mut().for_each(|v| *v = 0.0);
-        self.rhs.iter_mut().for_each(|v| *v = 0.0);
+        self.system = NormalEquations::new(self.cols);
     }
 
     /// Ingests the next sample, folding the regression row it completes
-    /// (if any) into the Gram and `X^T y` accumulators.
+    /// (if any) into the normal equations.
     pub fn push(&mut self, x: f64) {
         if self.n_seen >= 1 {
             // Same subtraction as the batch `windows(2)` pass.
@@ -218,21 +211,7 @@ impl AdfAccumulator {
                 for i in 0..self.lags {
                     self.row[2 + i] = self.diffs[t - 1 - i];
                 }
-                // Gram: Matrix::gram()'s per-row loop, verbatim.
-                for i in 0..self.cols {
-                    let a = self.row[i];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    for j in i..self.cols {
-                        self.gram[i * self.cols + j] += a * self.row[j];
-                    }
-                }
-                // X^T y: transpose().matvec(y) folds row-by-row from
-                // zero, with no zero skip.
-                for i in 0..self.cols {
-                    self.rhs[i] += self.row[i] * d;
-                }
+                self.system.push_row(&self.row, d);
             }
         }
         self.prev = x;
@@ -261,25 +240,7 @@ impl AdfAccumulator {
         if rows <= cols {
             return None;
         }
-        // Mirror the lower triangle exactly as Matrix::gram() does.
-        let mut g = self.gram.clone();
-        for i in 0..cols {
-            for j in 0..i {
-                g[i * cols + j] = g[j * cols + i];
-            }
-        }
-        let gram = Matrix::from_vec(cols, cols, g);
-        // ols(): plain solve, then the ridge fallback on singularity.
-        let beta = match gram.solve(&self.rhs) {
-            Some(b) => b,
-            None => {
-                let mut ridged = gram.clone();
-                for i in 0..cols {
-                    ridged[(i, i)] += 1e-6;
-                }
-                ridged.solve(&self.rhs)?
-            }
-        };
+        let beta = self.system.solve()?;
         // ols_with_errors(): one residual pass regenerating each design
         // row; the per-row dot product and the RSS fold replicate
         // matvec()'s zip/map/sum and the batch in-order accumulation.
@@ -303,19 +264,7 @@ impl AdfAccumulator {
         // fails the fit, as in the batch path), keeping coefficient 1.
         let mut se1 = 0.0;
         for j in 0..cols {
-            let mut e = vec![0.0; cols];
-            e[j] = 1.0;
-            let col = match gram.solve(&e) {
-                Some(c) => Some(c),
-                None => {
-                    let mut ridged = gram.clone();
-                    for i in 0..cols {
-                        ridged[(i, i)] += 1e-6;
-                    }
-                    ridged.solve(&e)
-                }
-            }?;
-            let var = sigma2 * col[j];
+            let var = sigma2 * self.system.solve_unit(j)?[j];
             let se = if var > 0.0 { var.sqrt() } else { 0.0 };
             if j == 1 {
                 se1 = se;

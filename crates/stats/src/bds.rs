@@ -14,7 +14,19 @@
 //! where `C_m` is the correlation integral (fraction of pairs of
 //! `m`-histories within `eps` in the sup norm) and `sigma_m` follows the
 //! asymptotic variance formula of Broock et al. (1996).
-
+//!
+//! # One pass over the pairs
+//!
+//! `C_1`, `C_m` and the `K` estimator of the variance all count the same
+//! predicate, `|x_i - x_j| < eps`, so [`bds_test`] evaluates it once per
+//! pair `i < j`, row by row. Along each diagonal `j - i` it keeps the
+//! length of the current run of close pairs: a pair closes a run of
+//! length `r`, so it counts towards `C_1` when `r >= 1` and ends a close
+//! pair of `m`-histories when `r >= m`. Each close pair also adds one
+//! neighbour to both of its points, which is all `K` needs. The counts
+//! are integers and the ratios are formed exactly as the three separate
+//! O(n²) loops formed them, so the statistic is bit-identical to theirs
+//! (the loops survive as test references).
 use crate::acf::levinson_durbin;
 use crate::desc::std_dev;
 
@@ -37,48 +49,47 @@ impl BdsResult {
     }
 }
 
-/// Computes the correlation integral `C_m(eps)`: the fraction of pairs of
-/// m-point histories whose sup-norm distance is below `eps`.
-fn correlation_integral(xs: &[f64], m: usize, eps: f64) -> f64 {
-    let n_m = xs.len() + 1 - m;
-    if n_m < 2 {
-        return 0.0;
-    }
-    let mut close = 0u64;
-    for i in 0..n_m {
-        'pairs: for j in i + 1..n_m {
-            for k in 0..m {
-                if (xs[i + k] - xs[j + k]).abs() >= eps {
-                    continue 'pairs;
-                }
-            }
-            close += 1;
-        }
-    }
-    2.0 * close as f64 / (n_m as f64 * (n_m - 1) as f64)
+/// `C_1`, `C_m` and `K` of one series at one radius.
+struct PairStats {
+    c1: f64,
+    cm: f64,
+    k: f64,
 }
 
-/// Computes the `K` estimator used by the BDS variance formula:
-/// the probability that of three random points, the middle one is within
-/// `eps` of both others.
-fn k_estimator(xs: &[f64], eps: f64) -> f64 {
+/// Computes [`PairStats`] in one pass over the pairs `i < j` (see the
+/// module docs). Needs `xs.len() >= m + 1` and `xs.len() >= 3`.
+fn pair_stats(xs: &[f64], m: usize, eps: f64) -> PairStats {
     let n = xs.len();
-    if n < 3 {
-        return 0.0;
-    }
-    // For each point, count neighbours within eps (excluding itself), then
-    // K = sum_s c_s * (c_s - 1) / (n (n-1) (n-2)).
-    let mut total = 0.0;
-    for s in 0..n {
-        let mut c = 0u64;
-        for t in 0..n {
-            if t != s && (xs[t] - xs[s]).abs() < eps {
-                c += 1;
-            }
+    // run[d - 1]: close pairs in a row ending at (i, i + d) on diagonal d.
+    let mut run = vec![0usize; n];
+    let mut neighbours = vec![0usize; n];
+    let mut close = 0usize;
+    let mut close_m = 0usize;
+    for (i, &xi) in xs.iter().enumerate() {
+        let (before, after) = neighbours.split_at_mut(i + 1);
+        let mut row_close = 0;
+        let mut row_close_m = 0;
+        for ((r, c), &xj) in run.iter_mut().zip(after).zip(&xs[i + 1..]) {
+            let near = usize::from((xi - xj).abs() < eps);
+            *r = (*r + 1) * near;
+            *c += near;
+            row_close += near;
+            row_close_m += usize::from(*r >= m);
         }
-        total += (c * c.saturating_sub(1)) as f64;
+        before[i] += row_close;
+        close += row_close;
+        close_m += row_close_m;
     }
-    total / (n as f64 * (n - 1) as f64 * (n - 2) as f64)
+    let n_m = n + 1 - m;
+    let mut triples = 0.0;
+    for &c in &neighbours {
+        triples += (c * c.saturating_sub(1)) as f64;
+    }
+    PairStats {
+        c1: 2.0 * close as f64 / (n as f64 * (n - 1) as f64),
+        cm: 2.0 * close_m as f64 / (n_m as f64 * (n_m - 1) as f64),
+        k: triples / (n as f64 * (n - 1) as f64 * (n - 2) as f64),
+    }
 }
 
 /// Runs the BDS test on `xs` with embedding dimension `m` and radius
@@ -96,9 +107,7 @@ pub fn bds_test(xs: &[f64], m: usize, eps_factor: f64) -> Option<BdsResult> {
         return None;
     }
     let eps = eps_factor * sd;
-    let c1 = correlation_integral(xs, 1, eps);
-    let cm = correlation_integral(xs, m, eps);
-    let k = k_estimator(xs, eps);
+    let PairStats { c1, cm, k } = pair_stats(xs, m, eps);
     if c1 <= 0.0 || c1 >= 1.0 || k <= 0.0 {
         return None;
     }
@@ -137,18 +146,25 @@ pub fn bds_on_ar_residuals(
     eps_factor: f64,
 ) -> Option<BdsResult> {
     femux_obs::counter_add("stats.bds.tests", 1);
+    bds_test(&ar_residuals(xs, order)?, m, eps_factor)
+}
+
+/// One-step residuals of an AR(`order`) fit to the mean-centred series;
+/// `None` when the fit is infeasible.
+fn ar_residuals(xs: &[f64], order: usize) -> Option<Vec<f64>> {
     let (phi, _) = levinson_durbin(xs, order)?;
     let mean = crate::desc::mean(xs);
     let centered: Vec<f64> = xs.iter().map(|x| x - mean).collect();
-    let residuals: Vec<f64> = (order..centered.len())
-        .map(|t| {
-            let pred: f64 = (0..order)
-                .map(|i| phi[i] * centered[t - 1 - i])
-                .sum();
-            centered[t] - pred
-        })
-        .collect();
-    bds_test(&residuals, m, eps_factor)
+    Some(
+        (order..centered.len())
+            .map(|t| {
+                let pred: f64 = (0..order)
+                    .map(|i| phi[i] * centered[t - 1 - i])
+                    .sum();
+                centered[t] - pred
+            })
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -229,27 +245,166 @@ mod tests {
     }
 
     #[test]
-    fn correlation_integral_bounds() {
+    fn pair_stats_bounds() {
         let mut rng = Rng::seed_from_u64(4);
         let xs: Vec<f64> = (0..200).map(|_| rng.normal()).collect();
-        for m in [1usize, 2, 3] {
-            let c = correlation_integral(&xs, m, 1.0);
-            assert!((0.0..=1.0).contains(&c), "C_{m} = {c}");
+        for m in [2usize, 3] {
+            let s = pair_stats(&xs, m, 1.0);
+            for (name, v) in [("C_1", s.c1), ("C_m", s.cm), ("K", s.k)] {
+                assert!((0.0..=1.0).contains(&v), "{name} = {v} at m {m}");
+            }
+            // Longer histories are close less often; K >= C^2 by
+            // Cauchy-Schwarz (approximately, for estimators).
+            assert!(s.cm <= s.c1);
+            assert!(s.k >= s.c1 * s.c1 - 0.05, "K {} vs C^2", s.k);
         }
         // Larger eps means more pairs are close.
-        let c_small = correlation_integral(&xs, 2, 0.5);
-        let c_large = correlation_integral(&xs, 2, 2.0);
-        assert!(c_large > c_small);
+        assert!(pair_stats(&xs, 2, 2.0).cm > pair_stats(&xs, 2, 0.5).cm);
+    }
+
+    /// The three O(n²) loops the one-pass [`pair_stats`] replaced, kept
+    /// verbatim as its bit-identity reference.
+    fn correlation_integral(xs: &[f64], m: usize, eps: f64) -> f64 {
+        let n_m = xs.len() + 1 - m;
+        if n_m < 2 {
+            return 0.0;
+        }
+        let mut close = 0u64;
+        for i in 0..n_m {
+            'pairs: for j in i + 1..n_m {
+                for k in 0..m {
+                    if (xs[i + k] - xs[j + k]).abs() >= eps {
+                        continue 'pairs;
+                    }
+                }
+                close += 1;
+            }
+        }
+        2.0 * close as f64 / (n_m as f64 * (n_m - 1) as f64)
+    }
+
+    /// See [`correlation_integral`].
+    fn k_estimator(xs: &[f64], eps: f64) -> f64 {
+        let n = xs.len();
+        if n < 3 {
+            return 0.0;
+        }
+        let mut total = 0.0;
+        for s in 0..n {
+            let mut c = 0u64;
+            for t in 0..n {
+                if t != s && (xs[t] - xs[s]).abs() < eps {
+                    c += 1;
+                }
+            }
+            total += (c * c.saturating_sub(1)) as f64;
+        }
+        total / (n as f64 * (n - 1) as f64 * (n - 2) as f64)
+    }
+
+    /// IBM-like minutes (this crate sits below the trace generators):
+    /// idle stretches broken by on/off bursts of lognormal height.
+    fn ibm_like(n: usize, seed: u64) -> Vec<f64> {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut on = false;
+        let mut level = 0.0;
+        (0..n)
+            .map(|_| {
+                if rng.chance(if on { 0.2 } else { 0.05 }) {
+                    on = !on;
+                    level = rng.lognormal(1.0, 0.8);
+                }
+                if on {
+                    (level * (1.0 + 0.3 * rng.normal())).max(0.0)
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    /// Azure-like minutes: a diurnal cycle plus noise and a slow trend.
+    fn azure_like(n: usize, seed: u64) -> Vec<f64> {
+        let mut rng = Rng::seed_from_u64(seed);
+        let phase = rng.range_f64(0.0, 1440.0);
+        (0..n)
+            .map(|t| {
+                let day = (2.0 * std::f64::consts::PI * (t as f64 + phase)
+                    / 1440.0)
+                    .sin();
+                (5.0 + 4.0 * day + 0.002 * t as f64 + rng.poisson(2.0) as f64)
+                    .max(0.0)
+            })
+            .collect()
     }
 
     #[test]
-    fn k_estimator_bounds() {
-        let mut rng = Rng::seed_from_u64(5);
-        let xs: Vec<f64> = (0..200).map(|_| rng.normal()).collect();
-        let k = k_estimator(&xs, 1.0);
-        assert!((0.0..=1.0).contains(&k), "K = {k}");
-        // K >= C^2 by Cauchy-Schwarz (approximately, for estimators).
-        let c = correlation_integral(&xs, 1, 1.0);
-        assert!(k >= c * c - 0.05, "K {k} vs C^2 {}", c * c);
+    fn one_pass_matches_the_pair_loops_bit_for_bit() {
+        let mut windows: Vec<(String, Vec<f64>)> = Vec::new();
+        for seed in 0..4 {
+            windows.push((format!("ibm-{seed}"), ibm_like(504, seed)));
+            windows.push((format!("azure-{seed}"), azure_like(504, seed)));
+        }
+        windows.push(("sparse".into(), {
+            let mut xs = vec![0.0; 504];
+            for t in (0..504).step_by(37) {
+                xs[t] = 1.0 + (t % 5) as f64;
+            }
+            xs
+        }));
+        windows.push(("all-zero".into(), vec![0.0; 504]));
+        windows.push((
+            "repeated-values".into(),
+            (0..504).map(|t| (t % 4 / 3) as f64).collect(),
+        ));
+        windows.push((
+            "alternating-extremes".into(),
+            (0..120)
+                .map(|t| if t % 2 == 0 { 1e-300 } else { 1e300 })
+                .collect(),
+        ));
+        windows.push((
+            "mixed-sign-extremes".into(),
+            (0..120)
+                .map(|t| if t % 2 == 0 { f64::MAX } else { -f64::MAX })
+                .collect(),
+        ));
+        windows.push(("with-nan".into(), {
+            let mut xs = azure_like(120, 9);
+            xs[40] = f64::NAN;
+            xs
+        }));
+        for (name, raw) in &windows {
+            let residuals = ar_residuals(raw, 5);
+            for xs in std::iter::once(raw).chain(residuals.as_ref()) {
+                // Radii as bds_test forms them: a window with a
+                // non-finite value has a NaN standard deviation.
+                let sd = std_dev(xs);
+                for eps in [0.0, 0.5, 1.0, 2.0].map(|f| f * sd) {
+                    for m in [2usize, 3] {
+                        let s = pair_stats(xs, m, eps);
+                        let want = [
+                            correlation_integral(xs, 1, eps),
+                            correlation_integral(xs, m, eps),
+                            k_estimator(xs, eps),
+                        ];
+                        if eps.is_nan() {
+                            // The loops disagree with each other on a NaN
+                            // radius (`>=` vs `<`); bds_test rejects it
+                            // either way, through C_1 or K.
+                            assert!(s.c1 <= 0.0 && want[2] <= 0.0);
+                            continue;
+                        }
+                        for (got, want) in [s.c1, s.cm, s.k].iter().zip(want) {
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{name} m {m} eps {eps}: {got} vs {want}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

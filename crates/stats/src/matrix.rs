@@ -127,29 +127,6 @@ impl Matrix {
             .collect()
     }
 
-    /// Computes the Gram matrix `self^T * self` in one pass.
-    pub fn gram(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.cols);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for i in 0..self.cols {
-                let a = row[i];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in i..self.cols {
-                    out[(i, j)] += a * row[j];
-                }
-            }
-        }
-        for i in 0..self.cols {
-            for j in 0..i {
-                out[(i, j)] = out[(j, i)];
-            }
-        }
-        out
-    }
-
     /// Solves `self * x = b` via LU decomposition with partial pivoting.
     ///
     /// Returns `None` if the matrix is singular (to working precision).
@@ -250,29 +227,127 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
+/// The normal equations `X^T X beta = X^T y`, accumulated one design row
+/// at a time.
+///
+/// This is the one fold behind [`ols`], [`ols_with_errors`], the
+/// streaming ADF accumulator and the SETAR regime fits, so every least
+/// squares fit in the workspace does the same floating-point operations
+/// in the same order:
+///
+/// - `X^T X` starts at `0.0`; each row adds `a * row[j]` to the upper
+///   triangle (`j >= i`) for every entry `a = row[i]` that is not zero
+///   (the skip keeps a `0 × ∞` out of the sums), and the lower triangle
+///   is mirrored when solving;
+/// - `X^T y` folds `row[i] * y` per column in row order starting from
+///   `-0.0`, the start value of `Iterator::sum`, so it equals
+///   `transpose().matvec(y)` bit for bit.
+#[derive(Debug, Clone)]
+pub struct NormalEquations {
+    cols: usize,
+    /// `cols × cols`, row-major; only the upper triangle is written.
+    gram: Vec<f64>,
+    rhs: Vec<f64>,
+}
+
+impl NormalEquations {
+    /// Creates an empty system for `cols` regressors.
+    pub fn new(cols: usize) -> Self {
+        NormalEquations {
+            cols,
+            gram: vec![0.0; cols * cols],
+            rhs: vec![-0.0; cols],
+        }
+    }
+
+    /// Folds one design row and its target into `X^T X` and `X^T y`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len()` differs from the column count.
+    pub fn push_row(&mut self, row: &[f64], y: f64) {
+        assert_eq!(row.len(), self.cols, "design row length mismatch");
+        for (i, &a) in row.iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            let upper = &mut self.gram[i * self.cols + i..(i + 1) * self.cols];
+            for (g, &b) in upper.iter_mut().zip(&row[i..]) {
+                *g += a * b;
+            }
+        }
+        for (r, &a) in self.rhs.iter_mut().zip(row) {
+            *r += a * y;
+        }
+    }
+
+    /// Solves for `beta`, retrying with a small ridge term on
+    /// (numerical) rank deficiency, which arises routinely for constant
+    /// traffic blocks. Returns `None` only if the ridged system is still
+    /// singular.
+    pub fn solve(&self) -> Option<Vec<f64>> {
+        solve_ridged(&self.gram_matrix(), &self.rhs)
+    }
+
+    /// Solves `X^T X v = e_j` (column `j` of the inverse, as standard
+    /// errors need) with the same ridge fallback as [`Self::solve`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not below the column count.
+    pub fn solve_unit(&self, j: usize) -> Option<Vec<f64>> {
+        let mut e = vec![0.0; self.cols];
+        e[j] = 1.0;
+        solve_ridged(&self.gram_matrix(), &e)
+    }
+
+    /// `X^T X` with the lower triangle mirrored from the upper.
+    fn gram_matrix(&self) -> Matrix {
+        let n = self.cols;
+        let mut g = self.gram.clone();
+        for i in 0..n {
+            for j in 0..i {
+                g[i * n + j] = g[j * n + i];
+            }
+        }
+        Matrix::from_vec(n, n, g)
+    }
+}
+
+/// Solves `gram * x = b`, retrying with `1e-6` added to the diagonal when
+/// the plain system is singular.
+fn solve_ridged(gram: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
+    gram.solve(b).or_else(|| {
+        let mut ridged = gram.clone();
+        for i in 0..ridged.rows() {
+            ridged[(i, i)] += 1e-6;
+        }
+        ridged.solve(b)
+    })
+}
+
+/// Folds every row of `x` with its target into the normal equations.
+fn normal_equations(x: &Matrix, y: &[f64]) -> NormalEquations {
+    assert_eq!(x.rows(), y.len(), "design matrix / target size mismatch");
+    let mut system = NormalEquations::new(x.cols());
+    for (r, &target) in y.iter().enumerate() {
+        system.push_row(x.row(r), target);
+    }
+    system
+}
+
 /// Ordinary least squares: finds `beta` minimizing `||X beta - y||^2`.
 ///
-/// Solves the normal equations with a small ridge term added on (numerical)
-/// rank deficiency, which arises routinely for constant traffic blocks.
-/// Returns `None` only if the system stays unsolvable even with the ridge.
+/// Solves the [`NormalEquations`] with a small ridge term added on
+/// (numerical) rank deficiency, which arises routinely for constant
+/// traffic blocks. Returns `None` only if the system stays unsolvable
+/// even with the ridge.
 ///
 /// # Panics
 ///
 /// Panics if `x.rows() != y.len()`.
 pub fn ols(x: &Matrix, y: &[f64]) -> Option<Vec<f64>> {
-    assert_eq!(x.rows(), y.len(), "design matrix / target size mismatch");
-    let xt = x.transpose();
-    let gram = x.gram();
-    let rhs = xt.matvec(y);
-    if let Some(beta) = gram.solve(&rhs) {
-        return Some(beta);
-    }
-    // Ridge fallback for singular designs (e.g. constant regressors).
-    let mut ridged = gram;
-    for i in 0..ridged.rows() {
-        ridged[(i, i)] += 1e-6;
-    }
-    ridged.solve(&rhs)
+    normal_equations(x, y).solve()
 }
 
 /// Result of an OLS fit with residual diagnostics, as needed by the ADF
@@ -299,7 +374,8 @@ pub fn ols_with_errors(x: &Matrix, y: &[f64]) -> Option<OlsFit> {
     if n <= p {
         return None;
     }
-    let beta = ols(x, y)?;
+    let system = normal_equations(x, y);
+    let beta = system.solve()?;
     let fitted = x.matvec(&beta);
     let rss: f64 = y
         .iter()
@@ -310,19 +386,9 @@ pub fn ols_with_errors(x: &Matrix, y: &[f64]) -> Option<OlsFit> {
     let sigma2 = rss / dof as f64;
     // Standard errors are sqrt of diagonal of sigma^2 (X^T X)^{-1}; obtain
     // each diagonal element by solving against unit vectors.
-    let gram = x.gram();
     let mut std_errors = Vec::with_capacity(p);
     for j in 0..p {
-        let mut e = vec![0.0; p];
-        e[j] = 1.0;
-        let col = gram.solve(&e).or_else(|| {
-            let mut ridged = gram.clone();
-            for i in 0..p {
-                ridged[(i, i)] += 1e-6;
-            }
-            ridged.solve(&e)
-        })?;
-        let var = sigma2 * col[j];
+        let var = sigma2 * system.solve_unit(j)?[j];
         std_errors.push(if var > 0.0 { var.sqrt() } else { 0.0 });
     }
     Some(OlsFit {
@@ -377,18 +443,49 @@ mod tests {
     }
 
     #[test]
-    fn gram_matches_explicit_product() {
+    fn normal_equations_match_explicit_products() {
         let a = Matrix::from_rows(&[
             &[1.0, 2.0, 0.5],
             &[3.0, -1.0, 2.0],
             &[0.0, 4.0, 1.0],
             &[2.0, 2.0, 2.0],
         ]);
-        let g = a.gram();
+        let y = [1.0, -2.0, 0.5, 3.0];
+        let system = normal_equations(&a, &y);
+        let gram = system.gram_matrix();
         let explicit = a.transpose().matmul(&a);
         for i in 0..3 {
             for j in 0..3 {
-                assert!((g[(i, j)] - explicit[(i, j)]).abs() < 1e-12);
+                assert!((gram[(i, j)] - explicit[(i, j)]).abs() < 1e-12);
+            }
+        }
+        assert_eq!(system.rhs, a.transpose().matvec(&y));
+    }
+
+    #[test]
+    fn normal_equations_rhs_starts_like_iterator_sum() {
+        // X^T y of an all -0.0 column is -0.0, as `matvec`'s sum gives.
+        let a = Matrix::from_rows(&[&[1.0, -0.0], &[2.0, -0.0]]);
+        let y = [1.0, 1.0];
+        let rhs = normal_equations(&a, &y).rhs;
+        let batch = a.transpose().matvec(&y);
+        for (r, b) in rhs.iter().zip(&batch) {
+            assert_eq!(r.to_bits(), b.to_bits());
+        }
+        assert!(rhs[1].is_sign_negative());
+    }
+
+    #[test]
+    fn solve_unit_is_an_inverse_column() {
+        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0], &[0.0, 1.0]]);
+        let system = normal_equations(&a, &[0.0; 3]);
+        let gram = system.gram_matrix();
+        for j in 0..2 {
+            let col = system.solve_unit(j).expect("non-singular");
+            let back = gram.matvec(&col);
+            for (i, v) in back.iter().enumerate() {
+                let unit = if i == j { 1.0 } else { 0.0 };
+                assert!((v - unit).abs() < 1e-12);
             }
         }
     }
