@@ -1,6 +1,6 @@
 //! `sequential-fp-reduce`: parallel map closures must be pure.
 //!
-//! `femux_par::par_map`/`par_map_chunked`/`par_map_threads` guarantee
+//! `femux_par::par_map`/`par_map_chunked` guarantee
 //! byte-identical output at any thread count *because* the closure is
 //! a pure function of `(index, item)` and all combining happens on the
 //! returned, index-ordered `Vec` — sequentially, on the caller's
@@ -22,7 +22,7 @@ use super::{is_punct, match_paren, FileContext, Rule, RuleOutput};
 use crate::findings::FileKind;
 use crate::lexer::TokKind;
 
-const PAR_CALLS: &[&str] = &["par_map", "par_map_chunked", "par_map_threads"];
+const PAR_CALLS: &[&str] = &["par_map", "par_map_chunked"];
 
 const SHARED_STATE: &[&str] =
     &["Mutex", "RwLock", "RefCell", "Cell", "static", "unsafe"];

@@ -17,7 +17,7 @@
 //! accumulation (per-chunk borrows, `par_map_chunked`) changes bytes
 //! with scheduling. The AST gives us closure parameter lists and body
 //! ranges, so the check is structural: inside a closure passed
-//! directly to `par_map`/`par_map_chunked`/`par_map_threads`, flag
+//! directly to `par_map`/`par_map_chunked`, flag
 //!
 //! - assignments (`=`, `+=`, ...) whose target's base identifier is
 //!   not bound inside the closure (param, `let`, `for`, or a nested
@@ -36,7 +36,7 @@ use crate::findings::FileKind;
 use crate::lexer::{Tok, TokKind};
 use crate::parser::{ClosureExpr, Expr};
 
-const PAR_CALLS: &[&str] = &["par_map", "par_map_chunked", "par_map_threads"];
+const PAR_CALLS: &[&str] = &["par_map", "par_map_chunked"];
 
 /// Container methods that require `&mut self`.
 const MUT_METHODS: &[&str] = &[

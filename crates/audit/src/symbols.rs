@@ -10,9 +10,9 @@
 //! iteration order never depends on hashing or thread count.
 //!
 //! Shim crates are *not* indexed: they impersonate external crates
-//! (`crossbeam`, `criterion`, ...), so drawing call edges into them
-//! would make every `Mutex::lock` look like a workspace call. They
-//! remain covered by the per-file hygiene rules.
+//! (today only `criterion`), so a call into one is a dependency call,
+//! not a workspace call-graph edge. They remain covered by the
+//! per-file hygiene rules.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -168,8 +168,8 @@ mod tests {
             ("knative".to_string(), CrateClass::Runtime)
         );
         assert_eq!(
-            classify_crate("shims/crossbeam/src/lib.rs"),
-            ("crossbeam".to_string(), CrateClass::Shim)
+            classify_crate("shims/criterion/src/lib.rs"),
+            ("criterion".to_string(), CrateClass::Shim)
         );
         assert_eq!(
             classify_crate("src/lib.rs"),

@@ -28,7 +28,7 @@ use femux_baselines::icebreaker::IceBreakerPolicy;
 use femux_bench::table::{delta_pct, f1, pct, print_table};
 use femux_bench::{azure_setup, Scale};
 use femux_rum::{CostRecord, RumSpec};
-use femux_sim::{run_fleet_auto, KeepAlivePolicy, SimConfig};
+use femux_sim::{run_fleet, KeepAlivePolicy, SimConfig};
 use femux_trace::repr::counts_per_minute;
 use femux_trace::Trace;
 
@@ -60,7 +60,7 @@ fn main() {
     for (name, cfg) in &variants {
         eprintln!("training {name}...");
         let model = setup.train_femux(cfg);
-        let out = run_fleet_auto(&test_trace, &sim_cfg, |_, app| {
+        let out = run_fleet(&test_trace, &sim_cfg, |_, app| {
             Box::new(FemuxPolicy::new(
                 Arc::clone(&model),
                 app.invocations
@@ -112,10 +112,10 @@ fn main() {
     );
 
     // --- Panel 2: IceBreaker, normalized to the 10-minute keep-alive. --
-    let ka10 = run_fleet_auto(&test_trace, &sim_cfg, |_, _| {
+    let ka10 = run_fleet(&test_trace, &sim_cfg, |_, _| {
         Box::new(KeepAlivePolicy::ten_minutes())
     });
-    let ice = run_fleet_auto(&test_trace, &sim_cfg, |_, _| {
+    let ice = run_fleet(&test_trace, &sim_cfg, |_, _| {
         Box::new(IceBreakerPolicy::new())
     });
     let femux_mem = femux_results
@@ -155,7 +155,7 @@ fn main() {
     // the trace). ---
     eprintln!("training {} per-app LSTMs...", test_trace.apps.len());
     let train_ms = test_trace.span_ms * 7 / 12;
-    let aqua = run_fleet_auto(&test_trace, &sim_cfg, |i, app| {
+    let aqua = run_fleet(&test_trace, &sim_cfg, |i, app| {
         let counts = counts_per_minute(&app.invocations, train_ms);
         let (policy, _) = AquatopePolicy::train(&counts, 0xAC0A + i as u64);
         Box::new(policy)

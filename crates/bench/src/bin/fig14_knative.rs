@@ -3,28 +3,26 @@
 //! Left: the 100-app evaluation subtrace's volume distribution follows
 //! the full fleet's. Mid-left: per-app cold-start percentage, FeMux vs
 //! Knative's default KPA (paper: >50 % reduction for over 25 % of apps).
-//! Mid-right: aggregate RUM (paper: −36 %). Right: FeMux-pod
-//! scalability — forecast latency vs apps per pod (paper: 1,200 apps per
-//! 1-vCPU pod at 7 ms mean / 25 ms p99).
+//! Mid-right: aggregate RUM (paper: −36 %). Right: FeMux-pod capacity
+//! (paper: 1,200 apps per 1-vCPU pod at 7 ms mean / 25 ms p99 per
+//! forecast), served by the real per-app controller on `femux-serve`:
+//! one shard per pod, wall-clock tick latency per shard.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use femux_bench::table::{delta_pct, f1, pct, print_series, print_table};
-use femux_bench::{azure_setup, Scale};
-use femux_knative::{
-    run_scalability, FemuxKnativePolicy, KpaConfig, KpaPolicy,
-    ScalabilityConfig,
-};
+use femux_bench::{azure_setup, capacity_fleet, Scale};
+use femux_knative::{FemuxKnativePolicy, KpaConfig, KpaPolicy};
 use femux_rum::RumSpec;
-use femux_sim::{run_fleet_auto, SimConfig};
+use femux_serve::harness::{run, ServeConfig};
+use femux_sim::{run_fleet, SimConfig};
+use femux_stats::desc::Summary;
 use femux_trace::split::representative_sample;
 use femux_trace::Trace;
 
 fn main() {
     let _obs = femux_bench::obs::session();
-    let scale = Scale::from_env();
-    let setup = azure_setup(scale);
+    let setup = azure_setup(Scale::from_env());
     let full = setup.fleet.to_trace();
 
     // --- Left: representative 100-app subtrace. ---
@@ -71,11 +69,11 @@ fn main() {
         ..SimConfig::default()
     };
     eprintln!("replaying subtrace under KPA...");
-    let kpa_out = run_fleet_auto(&sub, &sim_cfg, |_, _| {
+    let kpa_out = run_fleet(&sub, &sim_cfg, |_, _| {
         Box::new(KpaPolicy::new(KpaConfig::default()))
     });
     eprintln!("replaying subtrace under FeMux...");
-    let femux_out = run_fleet_auto(&sub, &sim_cfg, |_, app| {
+    let femux_out = run_fleet(&sub, &sim_cfg, |_, app| {
         Box::new(FemuxKnativePolicy::new(
             Arc::clone(&model),
             app.invocations
@@ -144,34 +142,63 @@ fn main() {
         ],
     );
 
-    // --- Right: FeMux-pod scalability (wall clock). ---
-    let duration = match scale {
-        Scale::Small => Duration::from_secs(3),
-        _ => Duration::from_secs(10),
-    };
+    // --- Right: FeMux-pod capacity on the serving harness. ---
+    // Each pod is one shard running `AppManager` for its apps under the
+    // model trained above. The run crosses exactly one block boundary,
+    // where every app extracts features and re-classifies at once;
+    // every other tick ingests one sample and forecasts per app.
+    let block_len = model.cfg.block_len;
+    let steps = block_len + 60;
     let mut rows = Vec::new();
     for (pods, apps) in
         [(1, 600), (1, 1_200), (1, 2_400), (2, 2_400), (4, 4_800)]
     {
-        let res = run_scalability(&ScalabilityConfig {
-            pods,
-            apps,
-            duration,
-            ..ScalabilityConfig::default()
-        });
+        eprintln!("serving {apps} apps on {pods} shard(s)...");
+        let report = run(
+            &capacity_fleet(apps, steps),
+            Arc::clone(&model),
+            &ServeConfig {
+                shards: pods,
+                measure_latency: true,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("synthetic traces are time-sorted");
+        let mut steady_ms = Vec::new();
+        let mut boundary_us = 0u64;
+        for shard in &report.tick_wall_us {
+            for (t, &us) in shard.iter().enumerate() {
+                if (t + 1) % block_len == 0 {
+                    boundary_us = boundary_us.max(us);
+                } else {
+                    steady_ms.push(us as f64 / 1_000.0);
+                }
+            }
+        }
+        let steady =
+            Summary::of(&steady_ms).expect("every shard serves steady ticks");
+        let apps_per_shard = apps as f64 / pods as f64;
         rows.push(vec![
             pods.to_string(),
             apps.to_string(),
-            f1(res.offered_rps),
-            f1(res.achieved_rps),
-            f1(res.latency_ms.mean),
-            f1(res.latency_ms.p99),
+            f1(steady.p50),
+            f1(steady.p99),
+            f1(boundary_us as f64 / 1_000.0),
+            f1(steady.p50 * 1_000.0 / apps_per_shard),
         ]);
     }
     print_table(
-        "Fig. 14-Right — FeMux pod scalability (paper: 1,200 apps/pod \
-         at 7 ms mean / 25 ms p99; graceful horizontal scale-out)",
-        &["pods", "apps", "offered rps", "achieved rps", "mean ms", "p99 ms"],
+        "Fig. 14-Right — FeMux pod capacity, one serving shard per pod \
+         (paper: 1,200 apps/pod at 7 ms mean / 25 ms p99 per forecast; \
+         graceful horizontal scale-out)",
+        &[
+            "pods",
+            "apps",
+            "steady p50 ms",
+            "steady p99 ms",
+            "boundary ms",
+            "us/app-tick",
+        ],
         &rows,
     );
 }

@@ -51,7 +51,7 @@ use femux_fault::{FaultConfig, FaultStats};
 use femux_knative::{KpaConfig, KpaPolicy};
 use femux_rum::RumSpec;
 use femux_sim::{
-    run_fleet_auto, run_fleet_detailed, ClusterConfig, ClusterOutcome,
+    run_fleet, run_fleet_detailed, ClusterConfig, ClusterOutcome,
     FleetOutcome, KeepAlivePolicy, KnativeDefaultPolicy, NodeConfig,
     SimConfig,
 };
@@ -309,7 +309,7 @@ fn run_policy(
         faults: Some(plan.clone()),
         ..SimConfig::default()
     };
-    run_fleet_auto(trace, &cfg, |_, app| match policy {
+    run_fleet(trace, &cfg, |_, app| match policy {
         "femux" => Box::new(FemuxPolicy::with_faults(
             Arc::clone(model),
             app.invocations

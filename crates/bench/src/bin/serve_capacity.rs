@@ -1,14 +1,19 @@
-//! Records the committed serving-capacity baseline
+//! Records the committed serving-capacity CI smoke
 //! (`BENCH_serve.json` at the repository root).
 //!
 //! Binary-searches the largest synthetic fleet one serving shard (one
 //! worker thread ≈ one vCPU) can sustain under a per-tick latency SLO.
 //! A tick is one virtual trace minute: every app on the shard ingests
 //! its sample, maintains incremental features, forecasts, and emits a
-//! pod target. The SLO is a p99 per-tick wall budget far below the 60 s
-//! a real-time deployment would have, so the recorded `max_apps` is a
-//! conservative apps-per-vCPU figure comparable to the paper's claim
-//! that FeMux serves 1,200+ applications per vCPU.
+//! pod target. The recorded `max_apps` is a reduced-config smoke, not
+//! the paper's apps-per-vCPU figure: the probe serves
+//! `FemuxConfig::for_tests()` (120-step blocks, a 60-step history,
+//! AR/FFT/SES only), and its p99 rank misses the synchronized
+//! block-boundary ticks. It catches collapses in per-tick serving cost.
+//! Paper-config capacity — µs per app-tick and the boundary tick under
+//! `FemuxConfig::default()` — comes from Fig. 14-Right
+//! (`fig14_knative`) and the repository benchmark's `serve-paper`
+//! workload.
 //!
 //! Two cases, `quick` (CI-sized) and `full`, are recorded with
 //! identical search logic but different fleet caps and step counts.
@@ -36,9 +41,8 @@ use std::sync::Arc;
 
 use femux::config::FemuxConfig;
 use femux::model::{train, ClassifierKind, FemuxModel, TrainApp};
+use femux_bench::capacity_fleet;
 use femux_serve::harness::{run, ServeConfig};
-use femux_trace::synth::ibm::{generate, IbmFleetConfig};
-use femux_trace::types::Trace;
 
 const SCHEMA: &str = "femux-bench-serve/v1";
 /// p99 per-tick wall budget in µs. A tick is one virtual minute, so a
@@ -88,25 +92,6 @@ struct CaseRecord {
     probes: usize,
 }
 
-/// A dense IBM-like fleet truncated to `steps` virtual minutes. Probes
-/// at different sizes share the seed, so growing the fleet only adds
-/// apps — it never perturbs the ones already present.
-fn fleet(n_apps: usize, steps: usize) -> Trace {
-    let span_ms = steps as u64 * 60_000;
-    let mut trace = generate(&IbmFleetConfig {
-        n_apps,
-        span_days: 1,
-        seed: 0x5E47E,
-        max_invocations_per_app: 400,
-        rate_scale: 0.05,
-    });
-    for app in &mut trace.apps {
-        app.invocations.retain(|inv| inv.start_ms < span_ms);
-    }
-    trace.span_ms = span_ms;
-    trace
-}
-
 /// One shared model: the capacity question is about serving cost, not
 /// training, so every probe reuses it.
 fn model() -> Arc<FemuxModel> {
@@ -140,7 +125,7 @@ fn p99_us(ticks: &[u64]) -> u64 {
 
 /// Serves `n_apps` on a single shard and returns the p99 tick latency.
 fn probe(n_apps: usize, steps: usize, model: &Arc<FemuxModel>) -> u64 {
-    let trace = fleet(n_apps, steps);
+    let trace = capacity_fleet(n_apps, steps);
     let report = run(
         &trace,
         Arc::clone(model),

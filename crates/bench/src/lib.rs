@@ -3,8 +3,9 @@
 //! Every figure and table of the paper has a binary under `src/bin/`
 //! (see `EXPERIMENTS.md` for the index). This library holds what they
 //! share: scale presets, the Azure-like evaluation setup of §5.1
-//! (fleet, split, FeMux training), and plain-text table/series printers
-//! that emit the same rows the paper plots.
+//! (fleet, split, FeMux training), the serving-capacity fleet, and
+//! plain-text table/series printers that emit the same rows the paper
+//! plots.
 
 use std::sync::Arc;
 
@@ -12,9 +13,10 @@ use femux::config::FemuxConfig;
 use femux::model::{train, ClassifierKind, FemuxModel, TrainApp};
 use femux_trace::split::{train_test_split, Split};
 use femux_trace::synth::azure::{generate, AzureFleet, AzureFleetConfig};
+use femux_trace::synth::ibm::IbmFleetConfig;
+use femux_trace::Trace;
 
 pub mod capacity;
-pub mod json;
 pub mod obs;
 pub mod table;
 
@@ -147,9 +149,47 @@ impl EvalSetup {
     }
 }
 
+/// The serving-capacity fleet: `n_apps` dense IBM-like apps truncated
+/// to `steps` virtual minutes, shared by `serve_capacity` and
+/// Fig. 14-Right. Every size uses the same seed, so growing the fleet
+/// only appends apps: the first `n` apps of any larger fleet are the
+/// `n`-app fleet, which is what lets `serve_capacity` bisect on size.
+pub fn capacity_fleet(n_apps: usize, steps: usize) -> Trace {
+    let span_ms = steps as u64 * 60_000;
+    let mut trace = femux_trace::synth::ibm::generate(&IbmFleetConfig {
+        n_apps,
+        span_days: 1,
+        seed: 0x5E47E,
+        max_invocations_per_app: 400,
+        rate_scale: 0.05,
+    });
+    for app in &mut trace.apps {
+        app.invocations.retain(|inv| inv.start_ms < span_ms);
+    }
+    trace.span_ms = span_ms;
+    trace
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn capacity_fleet_grows_by_appending_apps() {
+        let steps = 240;
+        let small = capacity_fleet(64, steps);
+        let large = capacity_fleet(128, steps);
+        assert_eq!(small.apps.len(), 64);
+        assert_eq!(large.apps.len(), 128);
+        assert_eq!(small.span_ms, large.span_ms);
+        assert_eq!(small.apps[..], large.apps[..64]);
+        let span_ms = steps as u64 * 60_000;
+        assert!(large
+            .apps
+            .iter()
+            .flat_map(|a| &a.invocations)
+            .all(|inv| inv.start_ms < span_ms));
+    }
 
     #[test]
     fn scale_from_env_defaults_small() {

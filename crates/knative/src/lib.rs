@@ -14,20 +14,22 @@
 //!   concurrency batched into minutes, routed to forecasting threads,
 //!   returning a predictive target that overrides the reactive KPA for
 //!   one minute at a time.
-//! - [`scalability`]: a wall-clock multi-threaded harness measuring
-//!   forecasting-service latency (the paper: ≥1,200 apps per 1-vCPU
-//!   FeMux pod at 7 ms mean / 25 ms p99) and horizontal scale-out.
+//! - [`replayer`]: wall-clock trace replay against worker threads
+//!   (the prototype's FaaSProfiler role).
+//! - [`statestore`]: the etcd stand-in that persists each app's
+//!   forecasting state across FeMux pod restarts.
+//!
+//! The FeMux-pod scalability study (the paper: ≥1,200 apps per 1-vCPU
+//! pod at 7 ms mean / 25 ms p99) is not here: Fig. 14-Right serves the
+//! real per-app controller through `femux_serve::harness::run`, one
+//! shard per pod.
 
 pub mod integration;
 pub mod kpa;
 pub mod replayer;
-pub mod scalability;
 pub mod statestore;
 
 pub use integration::FemuxKnativePolicy;
 pub use kpa::{KpaConfig, KpaPolicy};
-pub use scalability::{
-    run_scalability, ScalabilityConfig, ScalabilityResult,
-};
 pub use replayer::{replay, ReplayConfig, ReplayResult};
 pub use statestore::StateStore;

@@ -9,11 +9,10 @@
 //! and per-request latency so platform-level effects (queuing under
 //! under-provisioning) are actually observable rather than simulated.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use femux_stats::desc::Summary;
 use femux_trace::types::Trace;
 
@@ -66,35 +65,30 @@ struct Request {
     alloc_bytes: usize,
 }
 
-fn worker(
-    rx: Receiver<Request>,
-    latencies: Sender<f64>,
-    completed: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(req) => {
-                // Allocate-and-touch, as FaaSProfiler's function does.
-                let mut block = vec![0u8; req.alloc_bytes.max(1)];
-                for i in (0..block.len()).step_by(64) {
-                    block[i] = i as u8;
-                }
-                std::hint::black_box(&block);
-                // Busy-wait the compressed execution time.
-                let t0 = Instant::now();
-                while t0.elapsed() < req.busy {
-                    std::hint::spin_loop();
-                }
-                let _ = latencies
-                    .send(req.enqueued.elapsed().as_secs_f64() * 1_000.0);
-                completed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                return;
-            }
+/// Serves requests until the queue is drained and the sender gone,
+/// then returns this worker's end-to-end latencies in milliseconds.
+/// Whichever worker is free takes the next request.
+fn worker(rx: &Mutex<Receiver<Request>>) -> Vec<f64> {
+    let mut latencies = Vec::new();
+    loop {
+        // The guard is a temporary of this statement, so the lock is
+        // released before the request is served.
+        let next = rx.lock().expect("replay queue lock poisoned").recv();
+        let Ok(req) = next else {
+            return latencies;
+        };
+        // Allocate-and-touch, as FaaSProfiler's function does.
+        let mut block = vec![0u8; req.alloc_bytes.max(1)];
+        for i in (0..block.len()).step_by(64) {
+            block[i] = i as u8;
         }
+        std::hint::black_box(&block);
+        // Busy-wait the compressed execution time.
+        let t0 = Instant::now();
+        while t0.elapsed() < req.busy {
+            std::hint::spin_loop();
+        }
+        latencies.push(req.enqueued.elapsed().as_secs_f64() * 1_000.0);
     }
 }
 
@@ -111,21 +105,17 @@ pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> ReplayResult {
     events.sort_unstable_by_key(|e| e.0);
     events.truncate(cfg.max_invocations);
 
-    let (tx, rx) = bounded::<Request>(4_096);
-    let (lat_tx, lat_rx) = bounded::<f64>(1 << 20);
-    let completed = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut handles = Vec::new();
-    for _ in 0..cfg.workers {
-        let rx = rx.clone();
-        let lat_tx = lat_tx.clone();
-        let completed = completed.clone();
-        let stop = stop.clone();
-        handles.push(std::thread::spawn(move || {
-            worker(rx, lat_tx, completed, stop)
-        }));
-    }
-    drop(lat_tx);
+    let (tx, rx) = sync_channel::<Request>(4_096);
+    let rx = Arc::new(Mutex::new(rx));
+    let handles: Vec<_> = (0..cfg.workers)
+        .map(|_| {
+            let rx = Arc::clone(&rx);
+            std::thread::spawn(move || worker(&rx))
+        })
+        .collect();
+    // Only the workers hold the receiver, so if every worker dies a
+    // send fails instead of blocking on a full queue.
+    drop(rx);
 
     let start = Instant::now();
     let mut issued = 0u64;
@@ -160,22 +150,15 @@ pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> ReplayResult {
         }
         issued += 1;
     }
+    // Disconnect: each worker drains what is queued, sees the channel
+    // closed, and hands back its latencies.
     drop(tx);
-    // Drain: wait until everything completes (bounded by a generous
-    // timeout proportional to outstanding work).
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while completed.load(Ordering::Relaxed) < issued
-        && Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        let _ = h.join();
-    }
-    let latencies: Vec<f64> = lat_rx.try_iter().collect();
+    let latencies: Vec<f64> = handles
+        .into_iter()
+        .flat_map(|h| h.join().expect("replay worker panicked"))
+        .collect();
     ReplayResult {
-        completed: completed.load(Ordering::Relaxed),
+        completed: latencies.len() as u64,
         issued,
         latency_ms: Summary::of(&latencies).unwrap_or(Summary {
             count: 0,

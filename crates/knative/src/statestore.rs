@@ -18,10 +18,10 @@
 //! of panicking or losing the app's history entirely.
 
 use std::collections::BTreeMap;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use femux::manager::ManagerSnapshot;
 use femux_forecast::ForecasterKind;
-use parking_lot::RwLock;
 
 /// A versioned in-memory key-value store (etcd stand-in).
 ///
@@ -30,8 +30,11 @@ use parking_lot::RwLock;
 /// so snapshot/restore tooling built on it replays identically.
 #[derive(Debug, Default)]
 pub struct StateStore {
-    inner: RwLock<BTreeMap<String, (u64, String)>>,
+    inner: RwLock<Entries>,
 }
+
+/// Key → (revision, value).
+type Entries = BTreeMap<String, (u64, String)>;
 
 impl StateStore {
     /// Creates an empty store.
@@ -39,10 +42,20 @@ impl StateStore {
         StateStore::default()
     }
 
+    /// A poisoned lock means a writer panicked mid-update, which is
+    /// already a fatal bug, so it is not recovered from.
+    fn read(&self) -> RwLockReadGuard<'_, Entries> {
+        self.inner.read().expect("state store lock poisoned")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Entries> {
+        self.inner.write().expect("state store lock poisoned")
+    }
+
     /// Writes a value, returning the new revision for the key.
     pub fn put(&self, key: &str, value: String) -> u64 {
         femux_obs::counter_add("knative.statestore.puts", 1);
-        let mut map = self.inner.write();
+        let mut map = self.write();
         let rev = map.get(key).map(|(r, _)| r + 1).unwrap_or(1);
         map.insert(key.to_string(), (rev, value));
         rev
@@ -51,29 +64,29 @@ impl StateStore {
     /// Reads the latest value and its revision.
     pub fn get(&self, key: &str) -> Option<(u64, String)> {
         femux_obs::counter_add("knative.statestore.gets", 1);
-        self.inner.read().get(key).cloned()
+        self.read().get(key).cloned()
     }
 
     /// Deletes a key; returns whether it existed.
     pub fn delete(&self, key: &str) -> bool {
-        self.inner.write().remove(key).is_some()
+        self.write().remove(key).is_some()
     }
 
     /// Returns all keys in sorted order (etcd-style range listing) —
     /// the enumeration a rescheduled FeMux pod uses to restore every
     /// application state deterministically.
     pub fn keys(&self) -> Vec<String> {
-        self.inner.read().keys().cloned().collect()
+        self.read().keys().cloned().collect()
     }
 
     /// Number of keys stored.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.read().len()
     }
 
     /// True when no keys are stored.
     pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+        self.read().is_empty()
     }
 
     /// Compare-and-swap: writes only if the current revision matches
@@ -85,7 +98,7 @@ impl StateStore {
         expected_rev: u64,
         value: String,
     ) -> Result<u64, u64> {
-        let mut map = self.inner.write();
+        let mut map = self.write();
         let current = map.get(key).map(|(r, _)| *r).unwrap_or(0);
         if current != expected_rev {
             return Err(current);

@@ -99,22 +99,6 @@ where
     par_map_impl(items, thread_count(), f)
 }
 
-/// [`par_map`] with an explicit worker count instead of the global
-/// [`thread_count`]. Output is identical for every `threads` value.
-pub fn par_map_threads<T, U, F>(
-    items: &[T],
-    threads: usize,
-    f: F,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    record_dispatch(items.len());
-    par_map_impl(items, threads, f)
-}
-
 /// Counts one parallel-section dispatch. Only scheduling-invariant
 /// quantities are recorded (sections and items — never workers spawned
 /// or chunks formed, which legitimately vary with the thread count), so

@@ -30,44 +30,10 @@ pub struct FleetOutcome {
     pub fault_totals: FaultStats,
 }
 
-/// One application's share of the fleet costs (the per-app view of the
-/// aggregate the paper reports — cold starts, cold-start seconds, and
-/// wasted GB-s per app id).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AppCostBreakdown {
-    /// The application.
-    pub app_id: AppId,
-    /// Requests served.
-    pub invocations: u64,
-    /// Cold starts paid.
-    pub cold_starts: u64,
-    /// Seconds of cold-start latency paid.
-    pub cold_start_seconds: f64,
-    /// GB-seconds allocated but idle.
-    pub wasted_gb_seconds: f64,
-}
-
 impl FleetOutcome {
     /// Fleet cold-start fraction.
     pub fn cold_start_fraction(&self) -> f64 {
         self.total.cold_start_fraction()
-    }
-
-    /// Per-application cost breakdown, in trace order. Each column sums
-    /// exactly to the corresponding `total` field (the per-app records
-    /// are what `total` is merged from).
-    pub fn per_app_breakdown(&self) -> Vec<AppCostBreakdown> {
-        self.app_ids
-            .iter()
-            .zip(&self.per_app)
-            .map(|(&app_id, costs)| AppCostBreakdown {
-                app_id,
-                invocations: costs.invocations,
-                cold_starts: costs.cold_starts,
-                cold_start_seconds: costs.cold_start_seconds,
-                wasted_gb_seconds: costs.wasted_gb_seconds,
-            })
-            .collect()
     }
 }
 
@@ -100,45 +66,16 @@ fn with_run_epoch(cfg: &SimConfig) -> Cow<'_, SimConfig> {
     }
 }
 
-/// Runs `make_policy(app_index, app)` over every app in the trace.
+/// Runs `make_policy(app_index, app)` over every app in the trace,
+/// in parallel across the ambient `femux-par` thread count
+/// (`FEMUX_THREADS` or available parallelism). Applications are
+/// independent, per-app records come back in trace order, and the
+/// totals are merged sequentially afterwards, so the outcome is
+/// byte-identical at any thread count. The factory must therefore be
+/// callable from any worker (`Fn + Sync`).
 pub fn run_fleet<F>(
     trace: &Trace,
     cfg: &SimConfig,
-    mut make_policy: F,
-) -> FleetOutcome
-where
-    F: FnMut(usize, &AppRecord) -> Box<dyn ScalingPolicy>,
-{
-    let cfg = with_run_epoch(cfg);
-    let mut per_app = Vec::with_capacity(trace.apps.len());
-    let mut total = CostRecord::default();
-    let mut fault_totals = FaultStats::default();
-    for (i, app) in trace.apps.iter().enumerate() {
-        let mut policy = make_policy(i, app);
-        let result = simulate_app(app, policy.as_mut(), trace.span_ms, &cfg);
-        total.merge(&result.costs);
-        fault_totals.merge(&result.faults);
-        fault_totals.merge(&policy.fault_stats());
-        per_app.push(result.costs);
-    }
-    FleetOutcome {
-        app_ids: trace.apps.iter().map(|a| a.id).collect(),
-        per_app,
-        total,
-        fault_totals,
-    }
-}
-
-/// Runs `make_policy` over every app in parallel across `threads`
-/// workers (via the `femux-par` substrate). The policy factory must be
-/// callable from any worker, so it takes `&Fn` (stateless
-/// construction); results are identical to [`run_fleet`] since
-/// applications are independent and per-app records are collected in
-/// trace order before the (sequential) total merge.
-pub fn run_fleet_parallel<F>(
-    trace: &Trace,
-    cfg: &SimConfig,
-    threads: usize,
     make_policy: F,
 ) -> FleetOutcome
 where
@@ -146,15 +83,13 @@ where
 {
     let cfg = with_run_epoch(cfg);
     let cfg = &*cfg;
-    let results =
-        femux_par::par_map_threads(&trace.apps, threads, |i, app| {
-            let mut policy = make_policy(i, app);
-            let result =
-                simulate_app(app, policy.as_mut(), trace.span_ms, cfg);
-            let mut faults = result.faults;
-            faults.merge(&policy.fault_stats());
-            (result.costs, faults)
-        });
+    let results = femux_par::par_map(&trace.apps, |i, app| {
+        let mut policy = make_policy(i, app);
+        let result = simulate_app(app, policy.as_mut(), trace.span_ms, cfg);
+        let mut faults = result.faults;
+        faults.merge(&policy.fault_stats());
+        (result.costs, faults)
+    });
     let mut total = CostRecord::default();
     let mut fault_totals = FaultStats::default();
     let mut per_app = Vec::with_capacity(results.len());
@@ -171,29 +106,11 @@ where
     }
 }
 
-/// [`run_fleet_parallel`] sized by the ambient `femux-par` thread count
-/// (`FEMUX_THREADS` or available parallelism) — the entry point the
-/// experiment binaries use for fleet sweeps.
-pub fn run_fleet_auto<F>(
-    trace: &Trace,
-    cfg: &SimConfig,
-    make_policy: F,
-) -> FleetOutcome
-where
-    F: Fn(usize, &AppRecord) -> Box<dyn ScalingPolicy> + Sync,
-{
-    run_fleet_parallel(trace, cfg, femux_par::thread_count(), make_policy)
-}
-
 /// Runs the fleet but also returns the full [`SimResult`] per app
 /// (including delay vectors and concurrency series) — used by the
 /// characterization and Knative-comparison experiments.
 ///
-/// Runs across the ambient `femux-par` thread count. Applications are
-/// independent and results are collected in trace order, so the output
-/// is byte-identical at any thread count (like [`run_fleet_parallel`]
-/// vs [`run_fleet`]); the factory must therefore be callable from any
-/// worker (`Fn + Sync`).
+/// Same parallel, trace-ordered contract as [`run_fleet`].
 pub fn run_fleet_detailed<F>(
     trace: &Trace,
     cfg: &SimConfig,
@@ -204,14 +121,10 @@ where
 {
     let cfg = with_run_epoch(cfg);
     let cfg = &*cfg;
-    femux_par::par_map_threads(
-        &trace.apps,
-        femux_par::thread_count(),
-        |i, app| {
-            let mut policy = make_policy(i, app);
-            simulate_app(app, policy.as_mut(), trace.span_ms, cfg)
-        },
-    )
+    femux_par::par_map(&trace.apps, |i, app| {
+        let mut policy = make_policy(i, app);
+        simulate_app(app, policy.as_mut(), trace.span_ms, cfg)
+    })
 }
 
 #[cfg(test)]
@@ -236,36 +149,6 @@ mod tests {
             trace.total_invocations(),
             "every invocation must be served exactly once"
         );
-    }
-
-    #[test]
-    fn per_app_breakdown_sums_to_aggregate() {
-        let trace = generate(&IbmFleetConfig::small(15));
-        let cfg = SimConfig::default();
-        let out = run_fleet(&trace, &cfg, |_, _| {
-            Box::new(KeepAlivePolicy::ten_minutes())
-        });
-        let breakdown = out.per_app_breakdown();
-        assert_eq!(breakdown.len(), trace.apps.len());
-        assert_eq!(
-            breakdown.iter().map(|b| b.app_id).collect::<Vec<_>>(),
-            trace.apps.iter().map(|a| a.id).collect::<Vec<_>>(),
-            "breakdown follows trace order"
-        );
-        let invocations: u64 =
-            breakdown.iter().map(|b| b.invocations).sum();
-        let cold_starts: u64 =
-            breakdown.iter().map(|b| b.cold_starts).sum();
-        let cold_secs: f64 =
-            breakdown.iter().map(|b| b.cold_start_seconds).sum();
-        let wasted: f64 =
-            breakdown.iter().map(|b| b.wasted_gb_seconds).sum();
-        assert_eq!(invocations, out.total.invocations);
-        assert_eq!(cold_starts, out.total.cold_starts);
-        // total is merged by summing the same per-app records in the
-        // same order, so even the float columns match exactly.
-        assert_eq!(cold_secs, out.total.cold_start_seconds);
-        assert_eq!(wasted, out.total.wasted_gb_seconds);
     }
 
     #[test]
@@ -296,10 +179,11 @@ mod tests {
     fn parallel_matches_sequential() {
         let trace = generate(&IbmFleetConfig::small(14));
         let cfg = SimConfig::default();
-        let seq = run_fleet(&trace, &cfg, |_, _| Box::new(ZeroPolicy));
-        let par = run_fleet_parallel(&trace, &cfg, 4, |_, _| {
-            Box::new(ZeroPolicy)
-        });
+        let run = |threads| {
+            let _guard = femux_par::override_threads(threads);
+            run_fleet(&trace, &cfg, |_, _| Box::new(ZeroPolicy))
+        };
+        let (seq, par) = (run(1), run(4));
         assert_eq!(seq.per_app, par.per_app);
         assert_eq!(seq.total, par.total);
     }

@@ -38,10 +38,7 @@ pub use engine::{
     simulate_app, simulate_app_with_stats, EngineStats, ScaleEvent,
     ScaleLimit, SimConfig, SimResult,
 };
-pub use fleet::{
-    run_fleet, run_fleet_auto, run_fleet_detailed, run_fleet_parallel,
-    AppCostBreakdown, FleetOutcome,
-};
+pub use fleet::{run_fleet, run_fleet_detailed, FleetOutcome};
 pub use policy::{
     FixedPolicy, ForecastPolicy, IdleRun, IdleTicks, KeepAlivePolicy,
     KnativeDefaultPolicy, PolicyCtx, ScalingPolicy, ZeroPolicy,

@@ -20,7 +20,7 @@ use femux::config::FemuxConfig;
 use femux::manager::FemuxPolicy;
 use femux::model::{train, ClassifierKind, FemuxModel, TrainApp};
 use femux_fault::FaultConfig;
-use femux_sim::{run_fleet_auto, FleetOutcome, SimConfig};
+use femux_sim::{run_fleet, FleetOutcome, SimConfig};
 use femux_trace::repr::concurrency_per_minute;
 use femux_trace::synth::ibm::{generate, IbmFleetConfig};
 use femux_trace::Trace;
@@ -67,7 +67,7 @@ fn run(
         faults: plan.clone(),
         ..SimConfig::default()
     };
-    run_fleet_auto(trace, &cfg, |_, app| {
+    run_fleet(trace, &cfg, |_, app| {
         Box::new(match &plan {
             Some(p) => FemuxPolicy::with_faults(
                 Arc::clone(model),

@@ -14,7 +14,7 @@
 use std::sync::Mutex;
 
 use femux_rum::CostRecord;
-use femux_sim::{run_fleet_auto, KeepAlivePolicy, SimConfig};
+use femux_sim::{run_fleet, KeepAlivePolicy, SimConfig};
 use femux_trace::synth::ibm::{generate, IbmFleetConfig};
 
 /// Serializes tests that toggle the process-global obs switches or the
@@ -32,7 +32,7 @@ fn sweep() -> Vec<(String, Vec<CostRecord>, CostRecord)> {
     ["ka-1min", "ka-10min"]
         .iter()
         .map(|&name| {
-            let out = run_fleet_auto(&trace, &cfg, |_, _| {
+            let out = run_fleet(&trace, &cfg, |_, _| {
                 Box::new(match name {
                     "ka-1min" => KeepAlivePolicy::one_minute(),
                     _ => KeepAlivePolicy::ten_minutes(),
