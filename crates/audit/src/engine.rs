@@ -79,8 +79,6 @@ pub struct SourceSpec {
     pub class: CrateClass,
     /// Target kind.
     pub kind: FileKind,
-    /// True for `Cargo.toml` texts.
-    pub is_manifest: bool,
     /// The source text.
     pub text: String,
 }
@@ -97,21 +95,6 @@ struct FileScan {
 
 /// Lex + parse + local rules for one input. Runs inside `par_map`.
 fn scan_file(spec: &SourceSpec) -> FileScan {
-    if spec.is_manifest {
-        let lines: Vec<&str> = spec.text.lines().collect();
-        let mut out = RuleOutput::new();
-        for rule in all_rules() {
-            rule.check_manifest(&spec.rel_path, &spec.text, &mut out);
-        }
-        return FileScan {
-            spec: spec.clone(),
-            toks: Vec::new(),
-            facts: FileFacts::default(),
-            local_findings: out.into_findings(&lines),
-            allows: Vec::new(),
-            malformed_allows: Vec::new(),
-        };
-    }
     let lexed = lex(&spec.text);
     let tests = test_regions(&lexed.toks);
     let ast = parse(&lexed.toks);
@@ -162,26 +145,12 @@ pub fn audit_source(
         crate_name: crate_name.to_string(),
         class,
         kind,
-        is_manifest: false,
         text: source.to_string(),
     });
     let mut audit =
         apply_allows(rel_path, scan.local_findings, scan.allows);
     audit.malformed_allows = scan.malformed_allows;
     audit
-}
-
-/// Audits one `Cargo.toml` text.
-pub fn audit_manifest(rel_path: &str, text: &str) -> FileAudit {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut out = RuleOutput::new();
-    for rule in all_rules() {
-        rule.check_manifest(rel_path, text, &mut out);
-    }
-    FileAudit {
-        findings: out.into_findings(&lines),
-        ..FileAudit::default()
-    }
 }
 
 /// Matches findings against annotations. Each annotation suppresses
@@ -251,7 +220,6 @@ fn load(file: &SourceFile) -> Result<SourceSpec, String> {
         crate_name: file.crate_name.clone(),
         class: file.class,
         kind: file.kind,
-        is_manifest: file.is_manifest,
         text,
     })
 }

@@ -1,10 +1,10 @@
 //! `femux-audit` — in-tree determinism & correctness static analysis.
 //!
-//! PR 1 gave the offline pipeline a hard guarantee: byte-identical
-//! output at any thread count. This crate turns that guarantee (and
-//! the workspace's offline-build and no-panic hygiene) from reviewer
-//! vigilance into a machine-checked gate. It is a dependency-free
-//! static-analysis pipeline: a hand-rolled Rust [`lexer`], a
+//! The offline pipeline has a hard guarantee: byte-identical output at
+//! any thread count. This crate turns that guarantee (and the
+//! workspace's no-panic hygiene) from reviewer vigilance into a
+//! machine-checked gate. It is a dependency-free static-analysis
+//! pipeline: a hand-rolled Rust [`lexer`], a
 //! recursive-descent [`parser`] producing a lightweight AST, per-file
 //! function facts ([`symbols`]) merged into a workspace symbol table,
 //! an approximate [`callgraph`], and a two-tier [`rules`] engine
@@ -19,12 +19,10 @@
 //! |---|---|
 //! | `no-wallclock-entropy` | deterministic crates never read clock/entropy |
 //! | `no-unordered-emit` | hash-ordered collections never reach output |
-//! | `sequential-fp-reduce` | `par_map` arguments carry no shared state |
+//! | `sequential-fp-reduce` | `par_map` arguments carry no shared state (`Mutex`, `RwLock`, atomics, `static`, `unsafe`, `.lock()`, `.write()`) |
 //! | `panic-path` | library code has no undocumented panic paths |
 //! | `lossy-cast` | no truncating casts in rum/sim accumulation |
-//! | `offline-deps` | every dependency is a path/workspace dependency |
 //! | `no-env-read` | deterministic crates never read the environment |
-//! | `par-closure-purity` | `par_map` closures capture no mutable accumulators |
 //! | `fault-draw-order` | per-tick fault draws keep the documented order |
 //!
 //! Interprocedural rules (over the workspace call graph):
@@ -40,6 +38,13 @@
 //! and the CI `audit` job (which also diffs the JSON report against
 //! `crates/audit/workspace-baseline.json` so annotation drift is an
 //! explicit review event).
+//!
+//! Two hazards are left to the toolchain. A `par_map` closure that
+//! mutates a capture, or captures a `Cell` or `RefCell`, fails rustc
+//! under the `F: Fn + Sync` bound (pinned by `femux_par::par_map`'s
+//! `compile_fail` doctests). A dependency that is not a path
+//! dependency cannot resolve offline, and would add a `source =` line
+//! to `Cargo.lock`, which `tests/audit_clean.rs` rejects.
 
 pub mod allow;
 pub mod callgraph;
@@ -53,8 +58,8 @@ pub mod symbols;
 pub mod workspace;
 
 pub use engine::{
-    audit_manifest, audit_source, audit_sources, scan_workspace, FileAudit,
-    SourceSpec, WorkspaceAudit,
+    audit_source, audit_sources, scan_workspace, FileAudit, SourceSpec,
+    WorkspaceAudit,
 };
 pub use findings::{finding_id, CrateClass, FileKind, Finding};
 pub use report::{render_json, render_text};

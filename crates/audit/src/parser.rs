@@ -8,12 +8,11 @@
 //!
 //! - items: `fn`, `impl` (inherent and trait), `mod`, `trait` (for
 //!   default method bodies), everything else as opaque [`ItemKind::Other`];
-//! - fn signatures: name, `pub`-ness, parameter binding names, the
-//!   body's token index range;
+//! - fn signatures: name, `pub`-ness, the body's token index range;
 //! - expressions *inside* bodies, as a flat-per-nesting-level event
 //!   list: free/path calls (`foo(..)`, `a::b::c(..)`), method calls
 //!   (`.m(..)`, turbofish included), and closures (`|x| ..`,
-//!   `move || ..`) with their parameter names and body ranges;
+//!   `move || ..`) with their body ranges;
 //! - `#[cfg(test)]` / `#[test]` attribution, inherited through
 //!   enclosing items, so interprocedural rules can skip test code
 //!   structurally.
@@ -71,8 +70,6 @@ pub struct Func {
     pub name: String,
     /// True when declared with any `pub` visibility.
     pub is_pub: bool,
-    /// Parameter binding names (`self` included when present).
-    pub params: Vec<String>,
     /// 1-based line / column of the name token.
     pub line: u32,
     /// Column of the name token.
@@ -192,8 +189,6 @@ pub struct MethodCallExpr {
 /// A closure literal.
 #[derive(Debug)]
 pub struct ClosureExpr {
-    /// Parameter binding names.
-    pub params: Vec<String>,
     /// Position of the opening `|`.
     pub line: u32,
     /// Column of the opening `|`.
@@ -553,11 +548,8 @@ impl<'a> Parser<'a> {
         if self.is_p(self.i, '<') {
             self.i = self.skip_angles(self.i);
         }
-        let mut params = Vec::new();
         if self.is_p(self.i, '(') {
-            let close = self.skip_group(self.i);
-            params = self.param_names(self.i + 1, close.saturating_sub(1));
-            self.i = close;
+            self.i = self.skip_group(self.i);
         }
         // Return type / where clause: scan to the body `{` or a `;`.
         while self.i < self.t.len()
@@ -581,7 +573,6 @@ impl<'a> Parser<'a> {
             ItemKind::Fn(Func {
                 name,
                 is_pub,
-                params,
                 line,
                 col,
                 body,
@@ -590,37 +581,6 @@ impl<'a> Parser<'a> {
             end,
             cfg_test,
         )
-    }
-
-    /// Extracts binding names from a parameter list token range: for
-    /// each comma-separated segment, the identifiers before the first
-    /// top-level `:` (so `mut name: T` and `(a, b): T` both work), or
-    /// `self` for receiver shorthand.
-    fn param_names(&self, from: usize, to: usize) -> Vec<String> {
-        let mut names = Vec::new();
-        let mut depth = 0i32;
-        let mut seen_colon = false;
-        for k in from..to.min(self.t.len()) {
-            let t = &self.t[k];
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "(" | "[" | "<" | "{" => depth += 1,
-                    ")" | "]" | ">" | "}" => depth -= 1,
-                    ":" if depth == 0 => {
-                        // `::` in a default-type path would be two
-                        // colons; both set the flag, harmlessly.
-                        seen_colon = true;
-                    }
-                    "," if depth <= 0 => seen_colon = false,
-                    _ => {}
-                }
-                continue;
-            }
-            if t.kind == TokKind::Ident && !seen_colon && t.text != "mut" {
-                names.push(t.text.clone());
-            }
-        }
-        names
     }
 
     /// Parses an `impl` block whose `impl` keyword is consumed.
@@ -781,8 +741,8 @@ impl<'a> Parser<'a> {
     fn closure(&self, k: usize, limit: usize) -> (ClosureExpr, usize) {
         let (line, col) = (self.t[k].line, self.t[k].col);
         // `||` (empty parameter list): two adjacent pipes.
-        let (params, body_at) = if self.is_p(k + 1, '|') && self.adjacent(k) {
-            (Vec::new(), k + 2)
+        let body_at = if self.is_p(k + 1, '|') && self.adjacent(k) {
+            k + 2
         } else {
             let mut close = k + 1;
             let mut depth = 0i32;
@@ -798,7 +758,7 @@ impl<'a> Parser<'a> {
                 }
                 close += 1;
             }
-            (self.param_names(k + 1, close), close + 1)
+            close + 1
         };
         let (body, next) = if self.is_p(body_at, '{') {
             let end = self.skip_group(body_at);
@@ -845,7 +805,6 @@ impl<'a> Parser<'a> {
         };
         (
             ClosureExpr {
-                params,
                 line,
                 col,
                 body,
@@ -987,7 +946,6 @@ mod tests {
         let f = &fns(&a.items)[0];
         assert_eq!(f.name, "run");
         assert!(f.is_pub);
-        assert_eq!(f.params, vec!["n", "out"]);
         let body = f.body.as_ref().expect("body");
         assert_eq!(body.exprs.len(), 2);
         match (&body.exprs[0], &body.exprs[1]) {
@@ -1034,7 +992,6 @@ mod tests {
         let Expr::Closure(cl) = &c.args[0] else {
             panic!("expected closure arg, got {:?}", c.args);
         };
-        assert_eq!(cl.params, vec!["i", "x"]);
         match &cl.body.exprs[0] {
             Expr::Call(inner) => assert_eq!(inner.path, vec!["helper"]),
             other => panic!("unexpected {other:?}"),

@@ -7,16 +7,18 @@
 //! thread. The one way to break that without touching `femux-par` is
 //! to smuggle shared mutable state into the closure and accumulate in
 //! completion order: a `Mutex<f64>` running sum, an atomic counter
-//! that feeds output, a `RefCell` scratch buffer. Float addition is
-//! not associative, so even a "harmless" shared sum changes results
-//! with scheduling.
+//! that feeds output, a `Vec` behind an `RwLock` that workers push
+//! into. Float addition is not associative, so even a "harmless"
+//! shared sum changes results with scheduling.
 //!
 //! The rule scans the argument list of every `par_map*` call and flags
-//! shared-state and interior-mutability tokens inside it: `Mutex`,
-//! `RwLock`, `RefCell`, `Cell`, `Atomic*`, `static`, `unsafe`, and
-//! `.lock()` / `.borrow_mut()` calls. Combine results after the call
-//! returns instead — iteration over the returned `Vec` is already
-//! sequential and index-ordered.
+//! the shared-state tokens rustc accepts there: `Mutex`, `RwLock`,
+//! `Atomic*`, `static`, `unsafe`, and `.lock()` / `.write()` calls.
+//! Everything else is rustc's job: `par_map` takes `F: Fn + Sync`, so
+//! a closure that mutates a capture, or captures a `Cell` or
+//! `RefCell`, does not compile (see `femux_par::par_map`'s doctests).
+//! Combine results after the call returns instead — iteration over the
+//! returned `Vec` is already sequential and index-ordered.
 
 use super::{is_punct, match_paren, FileContext, Rule, RuleOutput};
 use crate::findings::FileKind;
@@ -24,10 +26,9 @@ use crate::lexer::TokKind;
 
 const PAR_CALLS: &[&str] = &["par_map", "par_map_chunked"];
 
-const SHARED_STATE: &[&str] =
-    &["Mutex", "RwLock", "RefCell", "Cell", "static", "unsafe"];
+const SHARED_STATE: &[&str] = &["Mutex", "RwLock", "static", "unsafe"];
 
-const SHARED_METHODS: &[&str] = &["lock", "borrow_mut"];
+const SHARED_METHODS: &[&str] = &["lock", "write"];
 
 /// See module docs.
 pub struct SequentialFpReduce;

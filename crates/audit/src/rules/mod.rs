@@ -2,9 +2,8 @@
 //!
 //! Rules come in two tiers. A *local* [`Rule`] is a pure function
 //! over a [`FileContext`] (lexed + parsed source with crate/file
-//! classification) or a manifest text. A [`WorkspaceRule`] runs after
-//! every file is scanned, over the merged
-//! [`crate::symbols::WorkspaceIndex`] and
+//! classification). A [`WorkspaceRule`] runs after every file is
+//! scanned, over the merged [`crate::symbols::WorkspaceIndex`] and
 //! [`crate::callgraph::CallGraph`], and may attribute findings to any
 //! file. Neither tier sees the suppression layer: rules emit every
 //! violation and [`crate::engine`] matches findings against
@@ -21,9 +20,7 @@ pub mod env_read;
 pub mod fault_order;
 pub mod fp_reduce;
 pub mod lossy_cast;
-pub mod offline_deps;
 pub mod panic_path;
-pub mod par_purity;
 pub mod unordered;
 pub mod wallclock;
 pub mod wallclock_reach;
@@ -81,15 +78,7 @@ pub trait Rule: Sync {
     /// One-line description for `--list-rules`.
     fn describe(&self) -> &'static str;
     /// Checks one Rust source file.
-    fn check_source(&self, _cx: &FileContext, _out: &mut RuleOutput) {}
-    /// Checks one `Cargo.toml`.
-    fn check_manifest(
-        &self,
-        _rel_path: &str,
-        _text: &str,
-        _out: &mut RuleOutput,
-    ) {
-    }
+    fn check_source(&self, cx: &FileContext, out: &mut RuleOutput);
 }
 
 /// Accumulates findings for one file, assigning stable ids.
@@ -209,9 +198,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(fp_reduce::SequentialFpReduce),
         Box::new(panic_path::PanicPath),
         Box::new(lossy_cast::LossyCast),
-        Box::new(offline_deps::OfflineDeps),
         Box::new(env_read::NoEnvRead),
-        Box::new(par_purity::ParClosurePurity),
         Box::new(fault_order::FaultDrawOrder),
     ]
 }

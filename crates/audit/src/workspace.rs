@@ -3,8 +3,8 @@
 //! The walk is fully deterministic: directory entries are sorted
 //! before recursion, paths are stored workspace-relative with forward
 //! slashes, and generated directories (`target/`, `.git/`, `results/`)
-//! and fixture corpora (`fixtures/`) are skipped. Classification is by
-//! path shape:
+//! and fixture corpora (`fixtures/`) are skipped. Only `.rs` files are
+//! selected. Classification is by path shape:
 //!
 //! - `crates/<name>/…` → that crate; `shims/<name>/…` → a shim; the
 //!   root `src/`, `tests/`, `examples/` → the facade package.
@@ -34,8 +34,6 @@ pub struct SourceFile {
     pub class: CrateClass,
     /// Target kind.
     pub kind: FileKind,
-    /// True for `Cargo.toml`, false for `.rs`.
-    pub is_manifest: bool,
 }
 
 /// Walks `root` and returns every auditable file, sorted by relative
@@ -77,9 +75,7 @@ fn walk(
             walk(root, &path, out)?;
             continue;
         }
-        let is_manifest = name == "Cargo.toml";
-        let is_rust = name.ends_with(".rs");
-        if !is_manifest && !is_rust {
+        if !name.ends_with(".rs") {
             continue;
         }
         let rel = path
@@ -87,8 +83,6 @@ fn walk(
             .map_err(|e| e.to_string())?
             .to_string_lossy()
             .replace('\\', "/");
-        // Lockfile-adjacent and doc files are already excluded by the
-        // extension filter; classify the rest.
         let (crate_name, class) = classify_crate(&rel);
         let kind = classify_kind(&rel);
         out.push(SourceFile {
@@ -97,7 +91,6 @@ fn walk(
             crate_name,
             class,
             kind,
-            is_manifest,
         });
     }
     Ok(())

@@ -7,7 +7,7 @@
 //! workspace walk skips `fixtures/` directories; these corpora are
 //! only ever scanned here, with explicit classification.
 
-use femux_audit::{audit_manifest, audit_source, CrateClass, FileKind};
+use femux_audit::{audit_source, CrateClass, FileKind};
 
 fn scan(
     path: &str,
@@ -145,13 +145,14 @@ fn fp_reduce_flags_shared_state_inside_par_map_args() {
         vec![
             ("sequential-fp-reduce", 8, 16, "sequential-fp-reduce-c21a3c0e"),
             ("sequential-fp-reduce", 13, 35, "sequential-fp-reduce-47de3f79"),
-            ("par-closure-purity", 14, 9, "par-closure-purity-192b54fd"),
+            ("sequential-fp-reduce", 24, 41, "sequential-fp-reduce-960f95e3"),
+            ("sequential-fp-reduce", 29, 31, "sequential-fp-reduce-f9e5cf77"),
         ],
-        "`.lock()` and `unsafe` inside par_map argument lists (plus \
-         the captured-static accumulation, which the purity rule sees \
-         structurally); the \
-         sequential fold over the returned Vec (line 19-20) is the \
-         sanctioned pattern and stays clean"
+        "`.lock()`, `unsafe` (which also covers the static-mut \
+         accumulation on line 14) and `.write()` on a captured RwLock, \
+         chained and through a guard binding, inside par_map argument \
+         lists; the sequential fold over the returned Vec (line 19-20) \
+         is the sanctioned pattern and stays clean"
     );
 }
 
@@ -294,33 +295,6 @@ fn malformed_allow_is_reported_and_suppresses_nothing() {
     assert_eq!(fa.malformed_allows.len(), 1);
     assert_eq!(fa.malformed_allows[0].line, 5);
     assert!(fa.malformed_allows[0].message.contains("justified"));
-}
-
-#[test]
-fn offline_deps_flags_every_non_path_dependency_shape() {
-    let fa = audit_manifest(
-        "fixtures/bad_manifest.toml",
-        include_str!("fixtures/bad_manifest.toml"),
-    );
-    let got: Vec<(u32, &str)> = fa
-        .findings
-        .iter()
-        .map(|f| (f.line, f.id.as_str()))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            (8, "offline-deps-659ff7d6"),   // serde = "1.0"
-            (9, "offline-deps-9b2caa8c"),   // { version, features }
-            (12, "offline-deps-ab68efe1"),  // chrono.version = "0.4"
-            (14, "offline-deps-4f8f770f"),  // [dev-dependencies.criterion]
-            (18, "offline-deps-edc782fe"),  // { git = … }
-        ],
-        "bare version, inline-table version, dotted-key version, \
-         version-only dependency table, git dependency; path and \
-         workspace=true entries (lines 10-11) stay allowed"
-    );
-    assert!(fa.findings.iter().all(|f| f.rule == "offline-deps"));
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Fixture tests for the v2 rule families (AST + call-graph), pinned
 //! to exact finding ids and positions like `fixtures.rs`.
 //!
-//! The local rules (`par-closure-purity`, `fault-draw-order`) scan a
-//! single file via `audit_source`. The interprocedural rules
+//! The local rule (`fault-draw-order`) scans a single file via
+//! `audit_source`. The interprocedural rules
 //! (`wallclock-reachability`, `contract-impl`) need a workspace, so
 //! their corpora are assembled from several fixture files and run
 //! through the full two-tier pipeline via `audit_sources`.
@@ -24,7 +24,6 @@ fn spec(
         crate_name: krate.to_owned(),
         class,
         kind,
-        is_manifest: false,
         text: text.to_owned(),
     }
 }
@@ -51,55 +50,6 @@ fn ws_allowed(wa: &WorkspaceAudit) -> Vec<(&str, &str, u32)> {
         .iter()
         .map(|s| (s.finding.rule, s.finding.file.as_str(), s.finding.line))
         .collect()
-}
-
-#[test]
-fn par_purity_pins_captured_accumulators() {
-    let fa = audit_source(
-        "fixtures/par_purity.rs",
-        "features",
-        CrateClass::Deterministic,
-        FileKind::Lib,
-        include_str!("fixtures/par_purity.rs"),
-    );
-    assert_eq!(
-        triples(&fa),
-        vec![
-            ("par-closure-purity", 6, 9, "par-closure-purity-b1f4a92a"),
-            ("par-closure-purity", 14, 14, "par-closure-purity-4ee52bed"),
-        ],
-        "compound assignment to a captured accumulator and a mutating \
-         method on a captured sink; the sequential reduce in \
-         combine_good and the #[cfg(test)] closure must not fire"
-    );
-    // The annotation sits on its own line above a statement whose
-    // par_map closure spans four more lines; it must cover the `n += 1`
-    // two lines below (the multi-line binding from this PR).
-    assert_eq!(
-        fa.allowed.len(),
-        1,
-        "allowed: {:?}, unused: {:?}",
-        fa.allowed,
-        fa.unused_allows
-    );
-    assert_eq!(fa.allowed[0].finding.line, 32);
-    assert!(fa.unused_allows.is_empty() && fa.malformed_allows.is_empty());
-}
-
-#[test]
-fn par_purity_is_scoped_to_non_test_code() {
-    let fa = audit_source(
-        "fixtures/par_purity.rs",
-        "features",
-        CrateClass::Deterministic,
-        FileKind::Test,
-        include_str!("fixtures/par_purity.rs"),
-    );
-    assert!(
-        fa.findings.is_empty(),
-        "test targets are exempt: {:?}",
-        triples(&fa)
-    );
 }
 
 #[test]

@@ -2,18 +2,17 @@
 //! (`BENCH_sim.json` at the repository root).
 //!
 //! Seeded fleets — a dense IBM-like fleet, a sparse/idle-heavy 62-day
-//! IBM-like fleet, and a bursty Azure-like fleet — run through both the
-//! event-queue engine (`simulate_app`) and the frozen pre-event-queue
-//! per-tick reference (`simulate_app_tickwise`), per policy, recording
-//! wall time and simulated invocations/second. Two extra cases re-run
-//! the dense fleet with a layer enabled so its overhead is priced in
-//! the committed baseline: every invocation's lifecycle span sampled
-//! (engine `event-spans`), and a finite 16-node cluster with node
-//! crashes injected (engine `event-cluster` — placement, eviction
-//! scans, and the node fault domain all on the hot path). Both pair
-//! with `(ibm-dense-3d, keepalive-10min, event)`. Case order is fixed,
-//! so the document layout is deterministic; only the two wall-derived
-//! fields vary between machines.
+//! IBM-like fleet, and a bursty Azure-like fleet — run through the
+//! event-queue engine (`simulate_app`, engine `event`) per policy,
+//! recording wall time and simulated invocations/second. Two extra
+//! cases re-run the dense fleet with a layer enabled so its overhead
+//! is priced in the committed baseline: every invocation's lifecycle
+//! span sampled (engine `event-spans`), and a finite 16-node cluster
+//! with node crashes injected (engine `event-cluster` — placement,
+//! eviction scans, and the node fault domain all on the hot path).
+//! Both pair with `(ibm-dense-3d, keepalive-10min, event)`. Case order
+//! is fixed, so the document layout is deterministic; only the two
+//! wall-derived fields vary between machines.
 //!
 //! Usage: `perf_record [--quick] [--schema-only] [--out PATH]
 //! [--check PATH] [--compare PATH [--tolerance T]]`
@@ -36,29 +35,27 @@
 use std::fmt::Write as _;
 
 use femux_sim::{
-    simulate_app, simulate_app_tickwise, ClusterConfig, KeepAlivePolicy,
-    KnativeDefaultPolicy, NodeConfig, ScalingPolicy, SimConfig,
+    simulate_app, ClusterConfig, KeepAlivePolicy, KnativeDefaultPolicy,
+    NodeConfig, ScalingPolicy, SimConfig,
 };
 use femux_trace::synth::azure::{self, AzureFleetConfig};
 use femux_trace::synth::ibm::{self, IbmFleetConfig};
 use femux_trace::types::Trace;
 
-const SCHEMA: &str = "femux-bench-sim/v2";
-const ENGINES: [&str; 2] = ["event", "tickwise"];
+const SCHEMA: &str = "femux-bench-sim/v3";
 const POLICIES: [&str; 2] = ["keepalive-10min", "knative-default"];
 const FLEET_NAMES: [&str; 3] =
     ["ibm-dense-3d", "ibm-sparse-62d", "azure-bursty-4d"];
 
 /// `(fleet, policy, engine)` labels in recorded order: the full
-/// fleet × policy × engine grid, then the span-overhead case that
-/// pairs with `(ibm-dense-3d, keepalive-10min, event)`.
+/// fleet × policy grid on the `event` engine, then the span- and
+/// cluster-overhead cases that pair with
+/// `(ibm-dense-3d, keepalive-10min, event)`.
 fn case_labels() -> Vec<(&'static str, &'static str, &'static str)> {
     let mut labels = Vec::new();
     for fleet in FLEET_NAMES {
         for policy in POLICIES {
-            for engine in ENGINES {
-                labels.push((fleet, policy, engine));
-            }
+            labels.push((fleet, policy, "event"));
         }
     }
     labels.push(("ibm-dense-3d", "keepalive-10min", "event-spans"));
@@ -158,15 +155,7 @@ fn run_case(
         let mut simulated = 0u64;
         for app in &trace.apps {
             let mut p = build_policy(policy);
-            let res = match engine {
-                "tickwise" => simulate_app_tickwise(
-                    app,
-                    p.as_mut(),
-                    trace.span_ms,
-                    &cfg,
-                ),
-                _ => simulate_app(app, p.as_mut(), trace.span_ms, &cfg),
-            };
+            let res = simulate_app(app, p.as_mut(), trace.span_ms, &cfg);
             simulated += res.costs.invocations;
         }
         assert_eq!(

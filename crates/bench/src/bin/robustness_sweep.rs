@@ -188,7 +188,7 @@ fn main() {
                         }
                     });
                 let per_app: Vec<_> =
-                    results.iter().map(|r| r.costs.clone()).collect();
+                    results.iter().map(|r| r.costs).collect();
                 check_finite_records(
                     &rum,
                     &per_app,

@@ -85,7 +85,10 @@ impl Tally {
     }
 }
 
-fn policies() -> Vec<(&'static str, fn() -> Box<dyn ScalingPolicy>)> {
+/// Builds a fresh policy instance.
+type MakePolicy = fn() -> Box<dyn ScalingPolicy>;
+
+fn policies() -> Vec<(&'static str, MakePolicy)> {
     vec![
         ("keepalive-10min", || {
             Box::new(KeepAlivePolicy::ten_minutes())

@@ -4,13 +4,11 @@
 //! plus a fixed battery of adversarial hand-rolled apps (same-ms
 //! bursts, boundary-time arrivals, tick-crossing durations,
 //! invocations past the span end, zero-duration requests, min-scale
-//! floors) — through [`femux_sim::simulate_app`],
-//! [`crate::reference_simulate`], and the frozen pre-event-queue
-//! per-tick engine [`femux_sim::simulate_app_tickwise`] under every
-//! policy × interval combination, checks exact three-way agreement and
-//! the metamorphic [`crate::invariants`], and shrinks any divergent
-//! case to a minimal counterexample (seed + app + first divergent
-//! tick).
+//! floors) — through [`femux_sim::simulate_app`] and
+//! [`crate::reference_simulate`] under every policy × interval
+//! combination, checks exact agreement and the metamorphic
+//! [`crate::invariants`], and shrinks any divergent case to a minimal
+//! counterexample (seed + app + first divergent tick).
 //!
 //! Cases run through [`femux_par::par_map`], which preserves input
 //! order, so [`SweepReport::render`] is byte-identical at any
@@ -20,9 +18,9 @@ use crate::diff::{compare_results, Divergence};
 use crate::engine::reference_simulate;
 use crate::invariants;
 use femux_sim::{
-    simulate_app, simulate_app_tickwise, ClusterConfig, FixedPolicy,
-    ForecastPolicy, KeepAlivePolicy, KnativeDefaultPolicy, NodeConfig,
-    PlacementKind, ScalingPolicy, SimConfig, SimResult, ZeroPolicy,
+    simulate_app, ClusterConfig, FixedPolicy, ForecastPolicy,
+    KeepAlivePolicy, KnativeDefaultPolicy, NodeConfig, PlacementKind,
+    ScalingPolicy, SimConfig, ZeroPolicy,
 };
 use femux_stats::rng::Rng;
 use femux_trace::types::{
@@ -302,10 +300,7 @@ fn sim_config(interval_ms: u64, cluster: ClusterVariant) -> SimConfig {
         record_delays: true,
         // Sample every invocation's lifecycle span: the per-ms oracle
         // re-derives each span (segments, pod identity, wait cause)
-        // independently and `compare_results` checks them exactly. The
-        // frozen tickwise twin predates the layer, so its comparisons
-        // strip spans — which also re-asserts that enabling the layer
-        // perturbs no other observable.
+        // independently and `compare_results` checks them exactly.
         spans: Some(femux_obs::span::SpanConfig::all(
             0x5EED ^ interval_ms,
         )),
@@ -314,17 +309,8 @@ fn sim_config(interval_ms: u64, cluster: ClusterVariant) -> SimConfig {
     }
 }
 
-/// The engine result with its span table stripped, for comparison
-/// against the span-less tickwise reference.
-fn sans_spans(res: &SimResult) -> SimResult {
-    let mut res = res.clone();
-    res.spans = Vec::new();
-    res
-}
-
-/// Runs one case through all three engines; `None` means exact
-/// agreement (engine vs per-ms oracle, then engine vs the frozen
-/// per-tick reference).
+/// Runs one case through the engine and the per-ms oracle; `None`
+/// means exact agreement.
 fn diverges(
     app: &AppRecord,
     policy: PolicyKind,
@@ -337,15 +323,7 @@ fn diverges(
         simulate_app(app, policy.build().as_mut(), span_ms, &cfg);
     let oracle =
         reference_simulate(app, policy.build().as_mut(), span_ms, &cfg);
-    compare_results(&engine, &oracle, interval_ms).or_else(|| {
-        let tickwise = simulate_app_tickwise(
-            app,
-            policy.build().as_mut(),
-            span_ms,
-            &cfg,
-        );
-        compare_results(&sans_spans(&engine), &tickwise, interval_ms)
-    })
+    compare_results(&engine, &oracle, interval_ms)
 }
 
 /// ddmin-lite: removes invocation chunks, then halves durations, then
@@ -626,33 +604,6 @@ fn run_case(case: &Case, cfg: &SweepConfig) -> CaseOutcome {
                 case.app.clone(),
                 case.cluster,
                 d,
-            )
-        })
-        .or_else(|| {
-            // Second reference: the frozen pre-event-queue per-tick
-            // engine must agree byte-exactly too.
-            let tickwise = simulate_app_tickwise(
-                &case.app,
-                case.policy.build().as_mut(),
-                span_ms,
-                &sim_cfg,
-            );
-            compare_results(
-                &sans_spans(&engine),
-                &tickwise,
-                case.interval_ms,
-            )
-            .map(
-                |d| {
-                    (
-                        format!("{} [tickwise]", case.label),
-                        case.policy,
-                        case.interval_ms,
-                        case.app.clone(),
-                        case.cluster,
-                        d,
-                    )
-                },
             )
         });
 

@@ -86,6 +86,50 @@ impl Drop for ThreadCountGuard {
 /// `(index, result)` back to the caller, which slots results by index.
 /// With one thread (or one item) the map runs inline with no pool.
 ///
+/// # Pure closures
+///
+/// The `F: Fn + Sync` bound makes rustc reject a closure that would
+/// accumulate through its captures in completion order. Each of these
+/// fails to compile (the error code rustc reports is in the comment):
+///
+/// ```compile_fail
+/// // E0594: assignment to a captured variable in a `Fn` closure.
+/// let mut total = 0.0;
+/// femux_par::par_map(&[1.0, 2.0], |_, x: &f64| total += *x);
+/// ```
+///
+/// ```compile_fail
+/// // E0596: `push` through a captured `&mut Vec`.
+/// fn collect(items: &[u64], sink: &mut Vec<usize>) {
+///     femux_par::par_map(items, |i, _| sink.push(i));
+/// }
+/// ```
+///
+/// ```compile_fail
+/// // E0277: a captured `Cell` is not `Sync`.
+/// let n = std::cell::Cell::new(0u64);
+/// femux_par::par_map(&[1u64, 2], |_, x| n.set(n.get() + x));
+/// ```
+///
+/// ```compile_fail
+/// // E0277: a captured `RefCell` is not `Sync`.
+/// let v = std::cell::RefCell::new(Vec::new());
+/// femux_par::par_map(&[1u64, 2], |i, _| v.borrow_mut().push(i));
+/// ```
+///
+/// ```compile_fail
+/// // E0596: `BorrowMut` on a captured `Vec` borrows it mutably.
+/// use std::borrow::BorrowMut;
+/// let mut v: Vec<usize> = Vec::new();
+/// femux_par::par_map(&[1u64, 2], |i, _| {
+///     let w: &mut Vec<usize> = v.borrow_mut();
+///     w.push(i)
+/// });
+/// ```
+///
+/// Shared state behind a lock, an atomic or `unsafe` does compile; the
+/// `sequential-fp-reduce` audit rule flags it instead.
+///
 /// # Panics
 ///
 /// Re-raises any panic from `f` once all workers have stopped.

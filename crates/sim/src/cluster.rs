@@ -8,7 +8,7 @@
 //! occupancy integral is accrued segment-wise (`pods_on_node * dt`) which is
 //! exact in u64 and agrees bit-for-bit with the oracle's per-ms accumulation.
 //!
-//! Contracts (pinned by the three-way oracle gate and DESIGN.md):
+//! Contracts (pinned by the oracle gate and DESIGN.md):
 //! - Every pod in the engine's pod vector is resident on exactly one node
 //!   while the cluster layer is enabled; `sum(node_pod_ms) == alive_pod_ms`.
 //! - Placement is deterministic: `BestFit` picks the fitting up-node with the
@@ -129,7 +129,7 @@ pub enum ReleaseReason {
 
 /// Deterministic placement strategy. `pick` may mutate internal state (e.g.
 /// the round-robin cursor) but must be a pure function of that state plus the
-/// node array — no ambient randomness, so engine/tickwise/oracle agree.
+/// node array — no ambient randomness, so the engine and the oracle agree.
 pub trait PlacementPolicy: Send {
     fn pick(&mut self, nodes: &[Node], req: PodRequest) -> Option<usize>;
 }

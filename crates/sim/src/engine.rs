@@ -13,9 +13,10 @@
 //! (replacing per-arrival pod-vector scans), and quiescent stretches of
 //! interval boundaries are fast-forwarded through
 //! [`ScalingPolicy::tick_idle`] in O(1) per constant-target run instead
-//! of O(span / interval). [`EngineStats`] witnesses the guarantee, and
-//! the frozen per-tick twin in [`crate::tickwise`] plus the
-//! `femux-oracle` per-millisecond reference gate its byte-exactness.
+//! of O(span / interval). [`EngineStats`] witnesses the guarantee. The
+//! `femux-oracle` per-millisecond reference gates the engine's
+//! byte-exactness, and [`crate::equiv`] checks each idle fast path
+//! against one `target_pods` call per tick.
 //!
 //! Semantics (following §4.3.5 and prior-work conventions; this list is
 //! the contract the `femux-oracle` reference simulator pins — any edit
@@ -532,8 +533,7 @@ impl Engine<'_> {
             // before any pod exists — evicting the idle-longest warm
             // pod under memory pressure, or, when saturated, admitting
             // the request overcommitted with no pod at all. Placement
-            // resolves first so tickwise and the oracle mirror it
-            // branch-for-branch.
+            // resolves first so the oracle mirrors it branch-for-branch.
             let mut evicted: Option<(u64, usize)> = None;
             let mut saturated = false;
             if self.cluster.is_some() {

@@ -4,22 +4,49 @@
 //! idle stretch in one call instead of once per tick. Its contract is
 //! strict: the fast path must leave the policy in the same state and
 //! produce the same decisions as calling `target_pods` every tick —
-//! otherwise the event-queue engine and the frozen per-tick reference
-//! diverge and every downstream number silently drifts.
+//! otherwise the batched idle stretches drift from the decisions the
+//! policy would really have made, and every downstream number with
+//! them.
 //!
 //! [`assert_tick_idle_equivalence`] is the machine-checked form of that
-//! contract: it replays a battery of idle-heavy scenarios through both
-//! engines and asserts the full [`SimResult`] is `Debug`-identical.
+//! contract: it replays a battery of idle-heavy scenarios through the
+//! engine twice — once with the policy as given, once behind a private
+//! wrapper that hides its `tick_idle` override, so the trait's default
+//! takes one `target_pods` decision per tick — and asserts the full
+//! [`crate::SimResult`] is `Debug`-identical. A wrong `tick_idle`, or a
+//! wrong batched branch in the engine, differs from the one-tick path.
+//! The engine itself is checked against the independent
+//! per-millisecond reference in `femux-oracle`.
+//!
 //! The `femux-audit` `contract-impl` rule requires every policy that
 //! overrides `tick_idle` to be registered in a call to this function
 //! (the workspace test lives in `tests/tick_idle_equivalence.rs`), so
 //! adding an idle fast path without proving it equivalent fails CI.
 
+use femux_fault::FaultStats;
 use femux_trace::types::{AppId, AppRecord, Invocation, WorkloadKind};
 
 use crate::engine::{simulate_app, SimConfig};
-use crate::policy::ScalingPolicy;
-use crate::tickwise::simulate_app_tickwise;
+use crate::policy::{PolicyCtx, ScalingPolicy};
+
+/// The wrapped policy without its idle fast path: every method but
+/// `tick_idle` is forwarded, so the engine gets the trait's default —
+/// one `target_pods` call per tick.
+struct PerTick(Box<dyn ScalingPolicy>);
+
+impl ScalingPolicy for PerTick {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn target_pods(&mut self, ctx: &PolicyCtx<'_>) -> usize {
+        self.0.target_pods(ctx)
+    }
+
+    fn fault_stats(&self) -> FaultStats {
+        self.0.fault_stats()
+    }
+}
 
 /// One synthetic scenario: `(name, app, span_ms)`.
 fn scenarios() -> Vec<(&'static str, AppRecord, u64)> {
@@ -72,12 +99,12 @@ fn scenarios() -> Vec<(&'static str, AppRecord, u64)> {
 }
 
 /// Asserts that the policy built by `mk` makes byte-identical
-/// decisions through the event-queue engine (idle fast path via
-/// `tick_idle`) and the frozen per-tick reference engine, across the
-/// idle-heavy scenario battery and both evaluation intervals.
+/// decisions with its idle fast path (`tick_idle`) and with one
+/// `target_pods` call per tick, across the idle-heavy scenario battery
+/// and both evaluation intervals.
 ///
-/// `mk` is called once per engine per case so each run starts from a
-/// fresh policy (policies are stateful).
+/// `mk` is called once per run so each run starts from a fresh policy
+/// (policies are stateful).
 ///
 /// # Panics
 ///
@@ -96,7 +123,7 @@ pub fn assert_tick_idle_equivalence(
             };
             let fast = simulate_app(&app, mk().as_mut(), span_ms, &cfg);
             let slow =
-                simulate_app_tickwise(&app, mk().as_mut(), span_ms, &cfg);
+                simulate_app(&app, &mut PerTick(mk()), span_ms, &cfg);
             assert_eq!(
                 format!("{fast:?}"),
                 format!("{slow:?}"),
@@ -105,5 +132,46 @@ pub fn assert_tick_idle_equivalence(
                  {interval_ms} ms)",
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::{IdleRun, IdleTicks};
+
+    /// Holds one pod every tick, but claims its idle fast path holds
+    /// none: a broken `tick_idle` the harness must reject.
+    struct WrongFastPath;
+
+    impl ScalingPolicy for WrongFastPath {
+        fn name(&self) -> String {
+            "wrong-fast-path".to_string()
+        }
+
+        fn target_pods(&mut self, _ctx: &PolicyCtx<'_>) -> usize {
+            1
+        }
+
+        fn tick_idle(
+            &mut self,
+            _idle: &IdleTicks<'_>,
+            _i: u64,
+            _current_pods: usize,
+            max_ticks: u64,
+        ) -> IdleRun {
+            IdleRun {
+                target: 0,
+                ticks: max_ticks,
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "diverges")]
+    fn harness_rejects_a_wrong_fast_path() {
+        assert_tick_idle_equivalence("WrongFastPath", &mut || {
+            Box::new(WrongFastPath)
+        });
     }
 }

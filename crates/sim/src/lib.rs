@@ -17,6 +17,12 @@
 //!   pluggable placement, memory-pressure eviction, node fault domains)
 //!   enabled via [`SimConfig::cluster`]; `None` keeps the historical
 //!   free-floating pod accounting bit-for-bit.
+//! - [`equiv`]: the `tick_idle` equivalence harness, which runs each
+//!   policy through the engine with its idle fast path and with one
+//!   `target_pods` call per tick.
+//!
+//! The engine has one independent reference: `femux-oracle`'s
+//! per-millisecond `reference_simulate`, held to exact agreement.
 //!
 //! Fault injection (pod crashes, cold-start stragglers, actuation
 //! delay/drop, report loss) is opt-in via [`SimConfig::faults`] and
@@ -28,7 +34,6 @@ pub mod engine;
 pub mod equiv;
 pub mod fleet;
 pub mod policy;
-pub mod tickwise;
 
 pub use cluster::{
     BestFit, Cluster, ClusterConfig, ClusterOutcome, NodeConfig,
@@ -44,4 +49,3 @@ pub use policy::{
     KnativeDefaultPolicy, PolicyCtx, ScalingPolicy, ZeroPolicy,
 };
 pub use equiv::assert_tick_idle_equivalence;
-pub use tickwise::simulate_app_tickwise;

@@ -2,12 +2,15 @@
 //!
 //! `femux-audit` enforces the determinism and hygiene contracts the
 //! rest of this suite relies on (no wall-clock/entropy/env reads in
-//! deterministic crates, no hash-ordered iteration reaching output,
-//! pure `par_map` closures, no undocumented panic paths, offline-only
-//! dependencies). This test is the enforcement point: it fails the
-//! build on any unannotated finding, on any malformed or stale
-//! `audit:allow`, and on any thread-count dependence in the audit's
-//! own JSON report.
+//! deterministic crates, no hash-ordered iteration reaching output, no
+//! shared state in `par_map` arguments, no undocumented panic paths).
+//! This test is the enforcement point: it fails the build on any
+//! unannotated finding, on any malformed or stale `audit:allow`, and
+//! on any thread-count dependence in the audit's own JSON report.
+//!
+//! Offline-only dependencies are checked on the lockfiles instead: a
+//! dependency that is not a path dependency records its registry or
+//! git origin as a `source =` line.
 
 use femux_audit::{render_json, render_text, scan_workspace};
 use std::path::Path;
@@ -56,4 +59,24 @@ fn report_is_byte_identical_at_any_thread_count() {
         render_json(&scan_workspace(workspace_root()).expect("scan"))
     };
     assert_eq!(eight, again);
+}
+
+#[test]
+fn lockfiles_resolve_only_path_dependencies() {
+    // The benchmark is its own workspace with its own lockfile.
+    for rel in ["Cargo.lock", "perfbench/Cargo.lock"] {
+        let path = workspace_root().join(rel);
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {rel}: {e}"));
+        let sourced: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("source ="))
+            .collect();
+        assert!(
+            sourced.is_empty(),
+            "{rel} resolves a non-path dependency; the workspace must \
+             build offline:\n{}",
+            sourced.join("\n")
+        );
+    }
 }

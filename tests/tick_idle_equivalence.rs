@@ -5,8 +5,8 @@
 //! by appearing in an `assert_tick_idle_equivalence` call. The
 //! `femux-audit` `contract-impl` rule enforces membership: a new
 //! `tick_idle` override that is not registered here fails the audit
-//! gate. The harness itself (scenario battery, both engines, both
-//! intervals) lives in `femux_sim::equiv`.
+//! gate. The harness itself (scenario battery, runs with and without
+//! the fast path, both intervals) lives in `femux_sim::equiv`.
 
 use std::sync::Arc;
 
