@@ -217,19 +217,19 @@ mod tests {
 
     #[test]
     fn trailing_annotation_targets_its_own_line() {
-        let src = "let t = now(); // audit:allow(no-wallclock-entropy, reason = \"diagnostics only\")\n";
+        let src = "let t = now(); // audit:allow(wallclock-reachability, reason = \"diagnostics only\")\n";
         let lexed = lex(src);
         let (allows, bad) = parse_allows(&lexed.comments, &lexed.toks);
         assert!(bad.is_empty());
         assert_eq!(allows.len(), 1);
-        assert_eq!(allows[0].rule, "no-wallclock-entropy");
+        assert_eq!(allows[0].rule, "wallclock-reachability");
         assert_eq!(allows[0].target_line, 1);
         assert_eq!(allows[0].reason, "diagnostics only");
     }
 
     #[test]
     fn own_line_annotation_targets_next_code_line() {
-        let src = "\n// audit:allow(panic-path, reason = \"documented API contract\")\n// another comment\nlet x = 1;\n";
+        let src = "\n// audit:allow(contract-impl, reason = \"documented API contract\")\n// another comment\nlet x = 1;\n";
         let lexed = lex(src);
         let (allows, _) = parse_allows(&lexed.comments, &lexed.toks);
         assert_eq!(allows.len(), 1);
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn own_line_annotation_covers_a_multiline_expression() {
         let src = "\
-// audit:allow(lossy-cast, reason = \"bounded by construction\")
+// audit:allow(fault-draw-order, reason = \"bounded by construction\")
 let plan = build(
     alpha,
     beta as u32,
@@ -275,7 +275,7 @@ let r = reduce(
 
     #[test]
     fn missing_reason_is_malformed() {
-        let src = "// audit:allow(panic-path)\nlet x = 1;\n";
+        let src = "// audit:allow(contract-impl)\nlet x = 1;\n";
         let lexed = lex(src);
         let (allows, bad) = parse_allows(&lexed.comments, &lexed.toks);
         assert!(allows.is_empty());
@@ -285,7 +285,7 @@ let r = reduce(
 
     #[test]
     fn empty_reason_is_malformed() {
-        let src = "// audit:allow(panic-path, reason = \"  \")\n";
+        let src = "// audit:allow(contract-impl, reason = \"  \")\n";
         let lexed = lex(src);
         let (_, bad) = parse_allows(&lexed.comments, &lexed.toks);
         assert_eq!(bad.len(), 1);

@@ -205,46 +205,4 @@ impl CallGraph {
         }
         seen
     }
-
-    /// Shortest call path from `from` to any node in `targets`
-    /// (inclusive of both ends), deterministic under ties: BFS visits
-    /// callees in edge order, which is source order.
-    pub fn path_to(
-        &self,
-        from: usize,
-        targets: &BTreeSet<usize>,
-        allow: impl Fn(usize) -> bool,
-    ) -> Option<Vec<usize>> {
-        if targets.contains(&from) {
-            return Some(vec![from]);
-        }
-        let mut prev: Vec<Option<usize>> = vec![None; self.edges.len()];
-        let mut seen = vec![false; self.edges.len()];
-        seen[from] = true;
-        let mut queue = std::collections::VecDeque::from([from]);
-        while let Some(at) = queue.pop_front() {
-            for e in &self.edges[at] {
-                if seen[e.callee] || !allow(e.callee) {
-                    continue;
-                }
-                seen[e.callee] = true;
-                prev[e.callee] = Some(at);
-                if targets.contains(&e.callee) {
-                    let mut path = vec![e.callee];
-                    let mut cur = at;
-                    loop {
-                        path.push(cur);
-                        match prev[cur] {
-                            Some(p) => cur = p,
-                            None => break,
-                        }
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(e.callee);
-            }
-        }
-        None
-    }
 }

@@ -101,11 +101,9 @@ fn scan_file(spec: &SourceSpec) -> FileScan {
     let lines: Vec<&str> = spec.text.lines().collect();
     let cx = FileContext {
         rel_path: &spec.rel_path,
-        crate_name: &spec.crate_name,
         class: spec.class,
         kind: spec.kind,
         toks: &lexed.toks,
-        lines: &lines,
         tests: &tests,
         ast: &ast,
     };

@@ -20,8 +20,8 @@ pub enum CrateClass {
     /// Runtime/measurement crates where wall-clock is the point
     /// (`knative`, `bench`, `baselines`, `par`).
     Runtime,
-    /// Vendored stand-ins under `shims/`; audited only for offline
-    /// hygiene, their internals mimic external crates.
+    /// Vendored stand-ins under `shims/`; their internals mimic
+    /// external crates.
     Shim,
     /// The root facade package (`src/`, `tests/`, `examples/`).
     Facade,
@@ -32,8 +32,7 @@ pub enum CrateClass {
 pub enum FileKind {
     /// Library code — the strictest tier.
     Lib,
-    /// A binary (`src/bin/*`, `src/main.rs`) — panics on bad CLI input
-    /// are acceptable.
+    /// A binary (`src/bin/*`, `src/main.rs`).
     Bin,
     /// Criterion benches.
     Bench,
@@ -126,17 +125,19 @@ mod tests {
 
     #[test]
     fn id_ignores_indentation_and_line_number() {
-        let a = finding_id("panic-path", "a.rs", "  x.unwrap();", 0);
-        let b = finding_id("panic-path", "a.rs", "x.unwrap();", 0);
+        let a = finding_id("fault-draw-order", "a.rs", "  x.lock();", 0);
+        let b = finding_id("fault-draw-order", "a.rs", "x.lock();", 0);
         assert_eq!(a, b);
     }
 
     #[test]
     fn id_distinguishes_rule_file_text_occurrence() {
-        let base = finding_id("panic-path", "a.rs", "x.unwrap();", 0);
-        assert_ne!(base, finding_id("lossy-cast", "a.rs", "x.unwrap();", 0));
-        assert_ne!(base, finding_id("panic-path", "b.rs", "x.unwrap();", 0));
-        assert_ne!(base, finding_id("panic-path", "a.rs", "y.unwrap();", 0));
-        assert_ne!(base, finding_id("panic-path", "a.rs", "x.unwrap();", 1));
+        let rule = "fault-draw-order";
+        let base = finding_id(rule, "a.rs", "x.lock();", 0);
+        let other = "sequential-fp-reduce";
+        assert_ne!(base, finding_id(other, "a.rs", "x.lock();", 0));
+        assert_ne!(base, finding_id(rule, "b.rs", "x.lock();", 0));
+        assert_ne!(base, finding_id(rule, "a.rs", "y.lock();", 0));
+        assert_ne!(base, finding_id(rule, "a.rs", "x.lock();", 1));
     }
 }

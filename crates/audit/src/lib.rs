@@ -1,10 +1,10 @@
 //! `femux-audit` — in-tree determinism & correctness static analysis.
 //!
 //! The offline pipeline has a hard guarantee: byte-identical output at
-//! any thread count. This crate turns that guarantee (and the
-//! workspace's no-panic hygiene) from reviewer vigilance into a
-//! machine-checked gate. It is a dependency-free static-analysis
-//! pipeline: a hand-rolled Rust [`lexer`], a
+//! any thread count. This crate checks the parts of that guarantee
+//! that need an AST or a call graph, turning them from reviewer
+//! vigilance into a machine-checked gate. It is a dependency-free
+//! static-analysis pipeline: a hand-rolled Rust [`lexer`], a
 //! recursive-descent [`parser`] producing a lightweight AST, per-file
 //! function facts ([`symbols`]) merged into a workspace symbol table,
 //! an approximate [`callgraph`], and a two-tier [`rules`] engine
@@ -17,12 +17,7 @@
 //!
 //! | id | invariant |
 //! |---|---|
-//! | `no-wallclock-entropy` | deterministic crates never read clock/entropy |
-//! | `no-unordered-emit` | hash-ordered collections never reach output |
 //! | `sequential-fp-reduce` | `par_map` arguments carry no shared state (`Mutex`, `RwLock`, atomics, `static`, `unsafe`, `.lock()`, `.write()`) |
-//! | `panic-path` | library code has no undocumented panic paths |
-//! | `lossy-cast` | no truncating casts in rum/sim accumulation |
-//! | `no-env-read` | deterministic crates never read the environment |
 //! | `fault-draw-order` | per-tick fault draws keep the documented order |
 //!
 //! Interprocedural rules (over the workspace call graph):
@@ -39,12 +34,24 @@
 //! `crates/audit/workspace-baseline.json` so annotation drift is an
 //! explicit review event).
 //!
-//! Two hazards are left to the toolchain. A `par_map` closure that
-//! mutates a capture, or captures a `Cell` or `RefCell`, fails rustc
-//! under the `F: Fn + Sync` bound (pinned by `femux_par::par_map`'s
-//! `compile_fail` doctests). A dependency that is not a path
-//! dependency cannot resolve offline, and would add a `source =` line
-//! to `Cargo.lock`, which `tests/audit_clean.rs` rejects.
+//! The lexical hazards are left to the toolchain:
+//!
+//! - clock, entropy and environment reads, hash-ordered collections
+//!   and `f32` are banned by the root `clippy.toml`
+//!   (`disallowed_types`, `disallowed_methods`);
+//! - panics (`unwrap_used`, `panic`, `todo`, `unimplemented`,
+//!   `unreachable`) are denied in `[workspace.lints.clippy]`, and
+//!   narrowing casts at the `femux-rum` and `femux-sim` crate roots;
+//! - a `par_map` closure that mutates a capture, or captures a `Cell`
+//!   or `RefCell`, fails rustc under the `F: Fn + Sync` bound (pinned
+//!   by `femux_par::par_map`'s `compile_fail` doctests);
+//! - a dependency that is not a path dependency cannot resolve
+//!   offline, and would add a `source =` line to `Cargo.lock`, which
+//!   `tests/audit_clean.rs` rejects.
+//!
+//! An exempt site carries `#[expect(clippy::…, reason = "…")]`, and a
+//! stale one fails `cargo clippy -- -D warnings` as an unfulfilled
+//! expectation.
 
 pub mod allow;
 pub mod callgraph;

@@ -8,7 +8,8 @@
 //! Default output is the human report; `--json` emits the byte-stable
 //! JSON document CI diffs against the committed baseline.
 //! `--deny-unannotated` exits non-zero when any unsuppressed finding
-//! (or malformed annotation) exists — the CI gate.
+//! (or malformed annotation) exists — the CI gate. A `--rule` id that
+//! no registered rule has exits 2, so a typo cannot pass as clean.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -63,6 +64,17 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// `(id, description)` of every registered rule, local rules first.
+fn registered_rules() -> Vec<(&'static str, &'static str)> {
+    let local = femux_audit::rules::all_rules()
+        .into_iter()
+        .map(|r| (r.id(), r.describe()));
+    let workspace = femux_audit::rules::workspace_rules()
+        .into_iter()
+        .map(|r| (r.id(), r.describe()));
+    local.chain(workspace).collect()
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -71,14 +83,22 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let rules = registered_rules();
     if args.list_rules {
-        for rule in femux_audit::rules::all_rules() {
-            println!("{:<24} {}", rule.id(), rule.describe());
-        }
-        for rule in femux_audit::rules::workspace_rules() {
-            println!("{:<24} {}", rule.id(), rule.describe());
+        for (id, describe) in &rules {
+            println!("{id:<24} {describe}");
         }
         return ExitCode::SUCCESS;
+    }
+    let ids: Vec<&str> = rules.iter().map(|(id, _)| *id).collect();
+    if let Some(bad) =
+        args.rule_filter.iter().find(|r| !ids.contains(&r.as_str()))
+    {
+        eprintln!(
+            "unknown rule {bad:?}; registered rules: {}",
+            ids.join(", ")
+        );
+        return ExitCode::from(2);
     }
     let root = match args.root {
         Some(r) => r,

@@ -16,13 +16,8 @@
 //! pinning its ids, and describe it in `DESIGN.md`.
 
 pub mod contract_impl;
-pub mod env_read;
 pub mod fault_order;
 pub mod fp_reduce;
-pub mod lossy_cast;
-pub mod panic_path;
-pub mod unordered;
-pub mod wallclock;
 pub mod wallclock_reach;
 
 use crate::callgraph::CallGraph;
@@ -35,17 +30,12 @@ use crate::symbols::WorkspaceIndex;
 pub struct FileContext<'a> {
     /// Workspace-relative path with forward slashes.
     pub rel_path: &'a str,
-    /// Crate directory name (`"sim"`, `"core"`, ... or `""` for the
-    /// root facade).
-    pub crate_name: &'a str,
     /// Crate classification.
     pub class: CrateClass,
     /// Target kind.
     pub kind: FileKind,
     /// Code tokens.
     pub toks: &'a [Tok],
-    /// Source lines (for finding ids).
-    pub lines: &'a [&'a str],
     /// `#[cfg(test)]` line ranges (lexer brace-matcher).
     pub tests: &'a TestRegions,
     /// The parsed file.
@@ -59,14 +49,6 @@ impl FileContext<'_> {
     /// the union can only *exempt* more, never add findings.
     pub fn is_test_line(&self, line: u32) -> bool {
         self.tests.contains(line) || self.ast.in_test(line)
-    }
-
-    /// Trimmed text of a 1-based line (empty if out of range).
-    pub fn line_text(&self, line: u32) -> &str {
-        self.lines
-            .get(line as usize - 1)
-            .copied()
-            .unwrap_or("")
     }
 }
 
@@ -193,12 +175,7 @@ impl WorkspaceOutput {
 /// The registered local rule set, in reporting order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(wallclock::NoWallclockEntropy),
-        Box::new(unordered::NoUnorderedEmit),
         Box::new(fp_reduce::SequentialFpReduce),
-        Box::new(panic_path::PanicPath),
-        Box::new(lossy_cast::LossyCast),
-        Box::new(env_read::NoEnvRead),
         Box::new(fault_order::FaultDrawOrder),
     ]
 }
@@ -209,12 +186,6 @@ pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
         Box::new(wallclock_reach::WallclockReachability),
         Box::new(contract_impl::ContractImpl),
     ]
-}
-
-/// True when `toks[i]` is an identifier with the given text.
-pub(crate) fn is_ident(toks: &[Tok], i: usize, text: &str) -> bool {
-    toks.get(i)
-        .is_some_and(|t| t.kind == TokKind::Ident && t.text == text)
 }
 
 /// True when `toks[i]` is the given punctuation character.

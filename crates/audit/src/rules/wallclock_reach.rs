@@ -1,26 +1,25 @@
 //! `wallclock-reachability`: no call path from a deterministic crate's
 //! public API into wall-clock or entropy reads.
 //!
-//! The local `no-wallclock-entropy` rule bans the forbidden
-//! identifiers *textually inside* deterministic crates — it cannot see
-//! a deterministic fn that stays token-clean and launders the clock
-//! through a helper in a runtime crate:
+//! Clippy bans the clock types and methods in every crate
+//! (`clippy.toml`), but a runtime crate whose job is measuring time
+//! exempts itself with an `#[expect]`. A deterministic fn that stays
+//! lint-clean can still launder the clock through such a helper:
 //!
 //! ```text
-//! // crates/sim (deterministic, token-clean)
+//! // crates/sim (deterministic, lint-clean)
 //! pub fn tick(..) { femux_knative::now_ms() }
-//! // crates/knative (runtime, exempt from the local rule)
+//! // crates/knative (runtime, expects the clock lints)
 //! pub fn now_ms() -> u64 { Instant::now()... }
 //! ```
 //!
-//! This rule closes that hole over the call graph. **Sinks** are
-//! non-test production fns in *non-deterministic* crates whose bodies
-//! contain a forbidden identifier (deterministic-crate bodies are the
-//! local rule's jurisdiction; `crates/obs/src/walltime.rs` is the one
-//! sanctioned timing site). **Entries** are `pub` fns of deterministic
-//! crates. The finding is attributed to the first deterministic →
-//! non-deterministic call edge on the offending path, which is where
-//! the fix belongs.
+//! No lint sees across that call, so this rule checks it over the call
+//! graph. **Sinks** are non-test production fns in *non-deterministic*
+//! crates whose bodies contain a [`FORBIDDEN`] identifier
+//! (`crates/obs/src/walltime.rs` is the one sanctioned timing site).
+//! **Entries** are `pub` fns of deterministic crates. The finding is
+//! attributed to the first deterministic → non-deterministic call edge
+//! on the offending path, which is where the fix belongs.
 //!
 //! Precision: sink reachability and the crossing edge itself use only
 //! *resolved* edges (path calls). Method-name widening would make any
@@ -35,6 +34,19 @@ use super::{WorkspaceOutput, WorkspaceRule};
 use crate::callgraph::CallGraph;
 use crate::findings::CrateClass;
 use crate::symbols::WorkspaceIndex;
+
+/// Identifiers that read the clock or an entropy source; a function
+/// whose body contains one is a sink.
+pub const FORBIDDEN: &[&str] = &[
+    "Instant",
+    "SystemTime",
+    "RandomState",
+    "OsRng",
+    "ThreadRng",
+    "thread_rng",
+    "from_entropy",
+    "getrandom",
+];
 
 /// The sanctioned wall-clock module (feature- and runtime-gated; its
 /// determinism waiver is documented in `crates/obs`).

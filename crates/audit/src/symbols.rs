@@ -151,7 +151,7 @@ fn walk_items(
                     );
                     for t in &toks[body.start..body.end.min(toks.len())] {
                         if t.kind == TokKind::Ident
-                            && crate::rules::wallclock::FORBIDDEN
+                            && crate::rules::wallclock_reach::FORBIDDEN
                                 .contains(&t.text.as_str())
                         {
                             info.wall.push((t.text.clone(), t.line, t.col));

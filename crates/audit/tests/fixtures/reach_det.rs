@@ -1,6 +1,6 @@
-//! Fixture: token-clean deterministic code laundering the wall clock
-//! through a runtime-crate helper. The local `no-wallclock-entropy`
-//! rule sees nothing here — only the call graph does.
+//! Fixture: lint-clean deterministic code laundering the wall clock
+//! through a runtime-crate helper. Clippy's clock bans see nothing
+//! here — only the call graph does.
 
 pub fn tick_stamp() -> u64 {
     femux_knative::now_ms()

@@ -1,7 +1,7 @@
 //! Fixture: the runtime helper that actually reads the wall clock.
-//! Runtime crates are exempt from the local lexer rule by design —
-//! measuring time is their job — which is exactly the laundering hole
-//! the reachability rule closes.
+//! A runtime crate expects clippy's clock bans where measuring time is
+//! its job, which is exactly the laundering hole the reachability rule
+//! closes.
 
 use std::time::Instant;
 

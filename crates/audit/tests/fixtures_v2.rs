@@ -96,11 +96,11 @@ fn fault_order_is_scoped_to_deterministic_crates() {
 }
 
 #[test]
-fn wallclock_reachability_catches_what_the_lexer_rule_misses() {
-    // The deterministic file is token-clean: the PR 2 lexer rule
-    // (`no-wallclock-entropy`) finds nothing in it, and the runtime
-    // helper is out of that rule's scope entirely. Only the call
-    // graph sees `tick_stamp -> now_ms -> Instant::now`.
+fn wallclock_reachability_catches_a_laundered_clock() {
+    // The deterministic file names no clock type or method, so
+    // clippy's bans pass it, and the runtime helper expects those
+    // bans. Only the call graph sees `tick_stamp -> now_ms ->
+    // Instant::now`.
     let wa = audit_sources(vec![
         spec(
             "crates/sim/src/reach.rs",
@@ -117,15 +117,6 @@ fn wallclock_reachability_catches_what_the_lexer_rule_misses() {
             include_str!("fixtures/reach_runtime.rs"),
         ),
     ]);
-    assert!(
-        !wa.findings.iter().any(|f| f.rule == "no-wallclock-entropy")
-            && !wa
-                .allowed
-                .iter()
-                .any(|s| s.finding.rule == "no-wallclock-entropy"),
-        "the local lexer rule must NOT see the laundered clock: {:?}",
-        ws_triples(&wa)
-    );
     assert_eq!(
         ws_triples(&wa),
         vec![(

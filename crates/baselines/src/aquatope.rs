@@ -165,6 +165,11 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "the claim under test is a wall-clock cost ratio"
+    )]
     fn inference_is_slower_than_lightweight_forecasters() {
         // The cost-profile claim: LSTM inference >> AR inference.
         let series: Vec<f64> = (0..300).map(|t| (t % 10) as f64).collect();

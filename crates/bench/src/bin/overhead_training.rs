@@ -7,6 +7,12 @@
 //! <10 min for 13 k apps, inference <7 ms mean; Aquatope trains 4x
 //! slower and infers 109-308 ms (~28x slower).
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "this binary reports wall-clock training and inference times"
+)]
+
 use std::time::Instant;
 
 use femux::model::{label_fleet, train_from_labels, ClassifierKind};

@@ -63,6 +63,10 @@ fn case_labels() -> Vec<(&'static str, &'static str, &'static str)> {
     labels
 }
 
+#[expect(
+    clippy::unreachable,
+    reason = "every name comes from the POLICIES constant"
+)]
 fn build_policy(name: &str) -> Box<dyn ScalingPolicy> {
     match name {
         "keepalive-10min" => Box::new(KeepAlivePolicy::ten_minutes()),
@@ -354,13 +358,18 @@ fn main() {
                     .parse()
                     .expect("--tolerance needs a number in [0, 1)");
             }
-            other => panic!("unknown argument {other}"),
+            other => {
+                eprintln!("unknown argument {other}");
+                std::process::exit(2);
+            }
         }
     }
 
     if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            eprintln!("cannot read {path}: {e}");
+            std::process::exit(1)
+        });
         match check(&text) {
             Ok(()) => {
                 println!("{path}: schema {SCHEMA} ok");
@@ -374,8 +383,10 @@ fn main() {
     }
 
     if let Some(path) = compare_path {
-        let baseline = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            eprintln!("cannot read {path}: {e}");
+            std::process::exit(1)
+        });
         if let Err(msg) = check(&baseline) {
             eprintln!("{path}: schema drift: {msg}");
             std::process::exit(1);
@@ -407,8 +418,10 @@ fn main() {
     debug_assert!(check(&doc).is_ok(), "self-check must pass");
     match out_path {
         Some(path) => {
-            std::fs::write(&path, &doc)
-                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            if let Err(e) = std::fs::write(&path, &doc) {
+                eprintln!("cannot write {path}: {e}");
+                std::process::exit(1);
+            }
             eprintln!("wrote {path}");
         }
         None => print!("{doc}"),

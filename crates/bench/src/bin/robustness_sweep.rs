@@ -88,7 +88,10 @@ fn main() {
                     Some(args.next().expect("--metrics-out takes a path"));
             }
             "--quick" => quick = true,
-            other => panic!("unknown flag {other:?}"),
+            other => {
+                eprintln!("unknown flag {other:?}");
+                std::process::exit(2);
+            }
         }
     }
     // Counters are collected once at the end (property 2 and
@@ -295,6 +298,10 @@ fn main() {
 }
 
 /// Runs one policy over the fleet with the fault plan installed.
+#[expect(
+    clippy::panic,
+    reason = "every name comes from the POLICIES constant"
+)]
 fn run_policy(
     policy: &str,
     trace: &Trace,

@@ -352,13 +352,18 @@ fn main() {
                     .parse()
                     .expect("--tolerance needs a number in [0, 1)");
             }
-            other => panic!("unknown argument {other}"),
+            other => {
+                eprintln!("unknown argument {other}");
+                std::process::exit(2);
+            }
         }
     }
 
     if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            eprintln!("cannot read {path}: {e}");
+            std::process::exit(1)
+        });
         match check(&text) {
             Ok(()) => {
                 println!("{path}: schema {SCHEMA} ok");
@@ -372,8 +377,10 @@ fn main() {
     }
 
     if let Some(path) = compare_path {
-        let baseline = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            eprintln!("cannot read {path}: {e}");
+            std::process::exit(1)
+        });
         if let Err(msg) = check(&baseline) {
             eprintln!("{path}: schema drift: {msg}");
             std::process::exit(1);
@@ -407,8 +414,10 @@ fn main() {
     }
     match out_path {
         Some(path) => {
-            std::fs::write(&path, &doc)
-                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            if let Err(e) = std::fs::write(&path, &doc) {
+                eprintln!("cannot write {path}: {e}");
+                std::process::exit(1);
+            }
             eprintln!("wrote {path}");
         }
         None => print!("{doc}"),

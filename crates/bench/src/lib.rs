@@ -37,12 +37,37 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment.
+    /// Reads the scale from `FEMUX_SCALE` (see [`Scale::parse`]). Any
+    /// other value aborts the run, so a typo never prints small-scale
+    /// tables under a medium-scale heading.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "FEMUX_SCALE is the documented knob that sizes the figure binaries"
+    )]
     pub fn from_env() -> Scale {
-        match std::env::var("FEMUX_SCALE").as_deref() {
-            Ok("medium") => Scale::Medium,
-            Ok("large") => Scale::Large,
-            _ => Scale::Small,
+        let value = match std::env::var("FEMUX_SCALE") {
+            Ok(v) => Some(v),
+            Err(std::env::VarError::NotPresent) => None,
+            Err(std::env::VarError::NotUnicode(v)) => {
+                Some(v.to_string_lossy().into_owned())
+            }
+        };
+        Scale::parse(value.as_deref()).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses a `FEMUX_SCALE` value: `small`, `medium` or `large`, and
+    /// `small` when unset.
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("small") => Ok(Scale::Small),
+            Some("medium") => Ok(Scale::Medium),
+            Some("large") => Ok(Scale::Large),
+            Some(other) => Err(format!(
+                "FEMUX_SCALE={other:?} is not one of small, medium, large"
+            )),
         }
     }
 
@@ -192,9 +217,18 @@ mod tests {
     }
 
     #[test]
-    fn scale_from_env_defaults_small() {
-        // The test runner does not set FEMUX_SCALE.
-        assert_eq!(Scale::from_env(), Scale::Small);
+    fn scale_parse_defaults_small_and_rejects_typos() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Small));
+        assert_eq!(Scale::parse(Some("small")), Ok(Scale::Small));
+        assert_eq!(Scale::parse(Some("medium")), Ok(Scale::Medium));
+        assert_eq!(Scale::parse(Some("large")), Ok(Scale::Large));
+        for typo in ["Medium", "meduim", "", " small"] {
+            let msg = Scale::parse(Some(typo)).expect_err(typo);
+            assert!(
+                msg.contains("small, medium, large"),
+                "names the accepted values: {msg}"
+            );
+        }
     }
 
     #[test]

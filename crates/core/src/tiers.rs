@@ -52,12 +52,15 @@ impl TieredDeployment {
     /// # Panics
     ///
     /// Panics if no tier has that name.
+    #[expect(
+        clippy::panic,
+        reason = "documented public-API contract (# Panics): an unknown tier name is a caller bug, not a data error"
+    )]
     pub fn assign(&mut self, app_index: usize, tier_name: &str) {
         let tier = self
             .tiers
             .iter()
             .position(|t| t.name == tier_name)
-            // audit:allow(panic-path, reason = "documented public-API contract (# Panics): an unknown tier name is a caller bug, not a data error")
             .unwrap_or_else(|| panic!("unknown tier {tier_name:?}"));
         self.assignment.insert(app_index, tier);
     }

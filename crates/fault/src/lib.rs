@@ -451,6 +451,10 @@ pub struct InjectedFault;
 /// Panics with the [`InjectedFault`] marker payload. Callers are
 /// expected to sit under a `catch_unwind` (the manager's forecast
 /// sanitizer); the panic is the injected fault.
+#[expect(
+    clippy::panic,
+    reason = "the panic is the injected fault; callers catch it with catch_unwind"
+)]
 pub fn inject_panic() -> ! {
     std::panic::panic_any(InjectedFault)
 }

@@ -9,6 +9,12 @@
 //! and per-request latency so platform-level effects (queuing under
 //! under-provisioning) are actually observable rather than simulated.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "wall-clock replay: elapsed real time is what this module measures"
+)]
+
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};

@@ -10,10 +10,19 @@
 //!   ([`crate::set_profiling`]), which explicitly waives the
 //!   byte-identical-report guarantee for them.
 //!
-//! `femux-audit`'s `no-wallclock-entropy` rule carves exactly this file
-//! out; an `Instant` anywhere else in a deterministic crate is still a
-//! finding. With the feature disabled every function here returns 0 and
-//! the crate contains no clock read at all.
+//! The workspace `clippy.toml` bans `Instant` and its `elapsed`; the
+//! `expect` below exempts exactly this file, so an `Instant` anywhere
+//! else is still a lint error. With the feature disabled every function
+//! here returns 0 and the crate contains no clock read at all.
+
+#![cfg_attr(
+    feature = "walltime",
+    expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "the one sanctioned clock: feature- and profiling-gated, feeding only wall.* diagnostics"
+    )
+)]
 
 #[cfg(feature = "walltime")]
 use std::sync::OnceLock;

@@ -566,7 +566,6 @@ struct Case {
     cluster: ClusterVariant,
 }
 
-#[allow(clippy::type_complexity)]
 struct CaseOutcome {
     divergence: Option<(
         String,

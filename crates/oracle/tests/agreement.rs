@@ -50,12 +50,12 @@ fn assert_agreement(app: &AppRecord, span_ms: u64, interval_ms: u64) {
             span_ms,
             &cfg,
         );
-        if let Some(d) = compare_results(&engine, &oracle, interval_ms) {
-            panic!(
-                "policy {} interval {interval_ms}ms span {span_ms}ms: {d}",
-                policy.label()
-            );
-        }
+        assert_eq!(
+            compare_results(&engine, &oracle, interval_ms),
+            None,
+            "policy {} interval {interval_ms}ms span {span_ms}ms",
+            policy.label()
+        );
     }
 }
 

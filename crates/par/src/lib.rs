@@ -39,6 +39,10 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Priority: active [`override_threads`] guard, then `FEMUX_THREADS`
 /// (values that fail to parse, or `0`, are ignored), then the machine's
 /// available parallelism, then 1.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "FEMUX_THREADS only sizes the pool; par_map output is identical at any count"
+)]
 pub fn thread_count() -> usize {
     let forced = OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {

@@ -13,6 +13,11 @@
 //! The default weights are derived in [`weights`] from public cloud data:
 //! `w1 = 1`, `w2 = 1/99.7`.
 
+// A narrowing cast silently corrupts accumulated costs. Cargo rejects
+// per-crate lint entries beside `[lints] workspace = true`, so the
+// cast lints are denied here rather than in the manifest.
+#![deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+
 pub mod costs;
 pub mod error;
 pub mod weights;

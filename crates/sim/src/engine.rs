@@ -593,6 +593,10 @@ impl Engine<'_> {
             // latency and the cold-start seconds account for it.
             if let Some(faults) = self.faults.as_mut() {
                 if let Some(factor) = faults.straggle() {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "rounds an inflated cold-start latency in ms, far below u64::MAX"
+                    )]
                     let inflated =
                         (cold as f64 * factor).round() as u64;
                     femux_obs::observe(
@@ -1238,6 +1242,10 @@ impl Engine<'_> {
                 }
             }
         } else if target < current {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "pods needed for in-flight requests never exceed their count, a usize"
+            )]
             let needed = (self.inflight.len() as u64)
                 .div_ceil(self.concurrency)
                 as usize;
@@ -1355,6 +1363,10 @@ impl Engine<'_> {
             .push(self.interval_conc_ms / interval as f64);
         self.peak_concurrency.push(self.interval_peak);
         self.arrivals.push(self.interval_arrivals);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "`n` ticks extend in-memory series, so it fits usize"
+        )]
         let total = base + n as usize;
         self.avg_concurrency.resize(total, 0.0);
         self.peak_concurrency.resize(total, 0.0);
@@ -1446,6 +1458,10 @@ impl Engine<'_> {
                     cl.advance(lt);
                 }
                 let len = self.pod_counts.len();
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "`ticks` extend an in-memory series, so it fits usize"
+                )]
                 self.pod_counts
                     .resize(len + (ticks - 1) as usize, self.pods.len());
                 self.stats.batched_ticks += ticks - 1;
@@ -2105,7 +2121,7 @@ mod tests {
             &fault_cfg(faults),
         );
         assert!(res.pod_counts.iter().all(|&p| p == 0));
-        assert_eq!(res.faults.actuation_drops as usize, res.pod_counts.len());
+        assert_eq!(res.faults.actuation_drops, res.pod_counts.len() as u64);
     }
 
     #[test]
@@ -2226,8 +2242,8 @@ mod tests {
         );
         assert!(res.avg_concurrency.iter().all(|v| v.is_nan()));
         assert_eq!(
-            res.faults.report_losses as usize,
-            res.avg_concurrency.len()
+            res.faults.report_losses,
+            res.avg_concurrency.len() as u64
         );
         // Costs never touch the poisoned series.
         res.costs.check().expect("cost record stays consistent");
@@ -2328,13 +2344,13 @@ mod tests {
             .iter()
             .find(|s| matches!(s.cause, WaitCause::Evicted { .. }))
             .expect("eviction recorded as a span cause");
-        match evicted_span.cause {
-            WaitCause::Evicted { node, victim_pod } => {
-                assert_eq!(node, 0);
-                assert_eq!(victim_pod, 0);
+        assert_eq!(
+            evicted_span.cause,
+            WaitCause::Evicted {
+                node: 0,
+                victim_pod: 0
             }
-            _ => unreachable!(),
-        }
+        );
         assert_eq!(evicted_span.cold_wait_ms, 808);
         assert!(outcome.conserved());
     }

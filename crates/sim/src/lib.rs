@@ -29,6 +29,11 @@
 //! fully deterministic; see the `femux-fault` crate for the draw-order
 //! contract.
 
+// A narrowing cast silently corrupts accumulated costs. Cargo rejects
+// per-crate lint entries beside `[lints] workspace = true`, so the
+// cast lints are denied here rather than in the manifest.
+#![deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+
 pub mod cluster;
 pub mod engine;
 pub mod equiv;

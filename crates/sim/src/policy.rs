@@ -35,6 +35,10 @@ pub struct PolicyCtx<'a> {
 impl PolicyCtx<'_> {
     /// Converts a concurrency target into a pod count under the app's
     /// per-pod concurrency limit.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the ceiling of a positive, finite pod demand"
+    )]
     pub fn pods_for_concurrency(&self, concurrency: f64) -> usize {
         if concurrency <= 0.0 {
             0
@@ -81,6 +85,10 @@ impl IdleTicks<'_> {
     /// observe at tick `i` of the stretch (series truncated to the
     /// samples visible at that tick; nothing in flight).
     pub fn ctx(&self, i: u64, current_pods: usize) -> PolicyCtx<'_> {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "`i` is a tick of a stretch whose samples are in memory"
+        )]
         let visible = self.base + i as usize + 1;
         PolicyCtx {
             now_ms: self.start_ms + i * self.interval_ms,
@@ -195,6 +203,10 @@ impl ScalingPolicy for KeepAlivePolicy {
 
     fn target_pods(&mut self, ctx: &PolicyCtx<'_>) -> usize {
         femux_obs::counter_add("policy.decisions", 1);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a window length in intervals, bounded by the series length"
+        )]
         let intervals = ((self.window_secs * 1_000) / ctx.interval_ms)
             .max(1) as usize;
         let start = ctx.peak_concurrency.len().saturating_sub(intervals);
@@ -213,6 +225,10 @@ impl ScalingPolicy for KeepAlivePolicy {
         max_ticks: u64,
     ) -> IdleRun {
         let ctx = idle.ctx(i, current_pods);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a window length in intervals, bounded by the series length"
+        )]
         let intervals = ((self.window_secs * 1_000) / ctx.interval_ms)
             .max(1) as usize;
         let start = ctx.peak_concurrency.len().saturating_sub(intervals);
@@ -250,6 +266,10 @@ impl ScalingPolicy for KnativeDefaultPolicy {
 
     fn target_pods(&mut self, ctx: &PolicyCtx<'_>) -> usize {
         femux_obs::counter_add("policy.decisions", 1);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a window length in intervals, bounded by the series length"
+        )]
         let intervals =
             (60_000 / ctx.interval_ms).max(1) as usize;
         let start = ctx.avg_concurrency.len().saturating_sub(intervals);
@@ -273,6 +293,10 @@ impl ScalingPolicy for KnativeDefaultPolicy {
         max_ticks: u64,
     ) -> IdleRun {
         let ctx = idle.ctx(i, current_pods);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a window length in intervals, bounded by the series length"
+        )]
         let intervals = (60_000 / ctx.interval_ms).max(1) as usize;
         let start = ctx.avg_concurrency.len().saturating_sub(intervals);
         if ctx.avg_concurrency[start..].iter().all(|&v| v == 0.0) {

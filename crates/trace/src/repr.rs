@@ -60,7 +60,10 @@ pub fn average_concurrency(
         let end = inv.end_ms().max(start + 1);
         let first = (start / step_ms) as usize;
         let last = ((end - 1) / step_ms) as usize;
-        #[expect(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`step` also sets each step's time bounds, not only the index"
+        )]
         for step in first..=last.min(steps.saturating_sub(1)) {
             let step_start = step as u64 * step_ms;
             let step_end = step_start + step_ms;

@@ -139,7 +139,10 @@ fn pick_class(rng: &mut Rng) -> AzureClass {
 }
 
 /// Rate (invocations/minute) of an app at a given minute.
-#[expect(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one parameter per per-app draw of the class generator"
+)]
 fn rate_at(
     class: AzureClass,
     base: f64,

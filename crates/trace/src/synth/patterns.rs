@@ -119,7 +119,10 @@ impl ArrivalPattern {
                 let progress = t_ms as f64 / span_ms.max(1) as f64;
                 base_rate * daily * weekly * (1.0 + ramp * progress)
             }
-            // audit:allow(panic-path, reason = "internal invariant: rate_at is only called from generate() on the rate-modulated arms matched above")
+            #[expect(
+                clippy::unreachable,
+                reason = "internal invariant: rate_at is only called from generate() on the rate-modulated arms matched above"
+            )]
             _ => unreachable!("rate_at only for rate-modulated patterns"),
         }
     }
@@ -216,7 +219,10 @@ impl ArrivalPattern {
 /// Generates arrivals for a two-state modulated Poisson process: the
 /// "high" state emits at `high_rate` for exp(`mean_high_secs`) stretches,
 /// the "low" state at `low_rate` for exp(`mean_low_secs`) stretches.
-#[expect(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the two-state process needs both rates and both mean sojourns"
+)]
 fn gen_two_state(
     span_ms: u64,
     cap: usize,

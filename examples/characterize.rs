@@ -23,10 +23,12 @@ fn load() -> Trace {
     match std::env::args().nth(1) {
         Some(path) => {
             let file = File::open(&path).unwrap_or_else(|e| {
-                panic!("cannot open {path}: {e}");
+                eprintln!("cannot open {path}: {e}");
+                std::process::exit(1)
             });
             read_trace(BufReader::new(file)).unwrap_or_else(|e| {
-                panic!("cannot parse {path}: {e}");
+                eprintln!("cannot parse {path}: {e}");
+                std::process::exit(1)
             })
         }
         None => generate(&IbmFleetConfig {

@@ -11,6 +11,12 @@
 //! as substring filters, so `cargo bench -- femux_train` works as with
 //! the real harness.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a benchmark harness times with the wall clock"
+)]
+
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;

@@ -1,14 +1,21 @@
 //! Tier-1 gate: the workspace passes its own static-analysis audit.
 //!
-//! `femux-audit` enforces the determinism and hygiene contracts the
-//! rest of this suite relies on (no wall-clock/entropy/env reads in
-//! deterministic crates, no hash-ordered iteration reaching output, no
-//! shared state in `par_map` arguments, no undocumented panic paths).
-//! This test is the enforcement point: it fails the build on any
-//! unannotated finding, on any malformed or stale `audit:allow`, and
-//! on any thread-count dependence in the audit's own JSON report.
+//! `femux-audit` enforces the determinism contracts that need an AST
+//! or a call graph: no shared state in `par_map` arguments, the fault
+//! draw order, no call path from deterministic code to the clock, and
+//! complete trait contracts. This test is the enforcement point: it
+//! fails the build on any unannotated finding, on any malformed or
+//! stale `audit:allow`, and on any thread-count dependence in the
+//! audit's own JSON report.
 //!
-//! Offline-only dependencies are checked on the lockfiles instead: a
+//! Clippy checks the lexical hazards: clock, entropy and environment
+//! reads, hash-ordered collections, panics and narrowing casts (see
+//! `clippy.toml` and `[workspace.lints]`). `cargo test` does not run
+//! clippy, so this file pins the configuration instead: every crate
+//! inherits the workspace lints, and `femux-rum` and `femux-sim` deny
+//! narrowing casts.
+//!
+//! Offline-only dependencies are checked on the lockfiles: a
 //! dependency that is not a path dependency records its registry or
 //! git origin as a `source =` line.
 
@@ -77,6 +84,63 @@ fn lockfiles_resolve_only_path_dependencies() {
             "{rel} resolves a non-path dependency; the workspace must \
              build offline:\n{}",
             sourced.join("\n")
+        );
+    }
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path)
+        .map_err(|e| format!("{}: {e}", path.display()))
+        .expect("workspace file is readable")
+}
+
+#[test]
+fn every_crate_inherits_the_workspace_lints() {
+    // A package without `[lints] workspace = true` escapes the panic
+    // lints without any error.
+    let root = workspace_root();
+    let mut manifests: Vec<_> = std::fs::read_dir(root.join("crates"))
+        .expect("read crates/")
+        .map(|e| e.expect("dir entry").path().join("Cargo.toml"))
+        .collect();
+    manifests.sort();
+    assert!(manifests.len() > 10, "walk found the crates");
+    manifests.push(root.join("Cargo.toml"));
+    for path in &manifests {
+        assert!(
+            read(path).contains("\n[lints]\nworkspace = true\n"),
+            "{} must declare `[lints] workspace = true`",
+            path.display()
+        );
+    }
+    let root_manifest = read(&root.join("Cargo.toml"));
+    for lint in [
+        "unwrap_used",
+        "panic",
+        "todo",
+        "unimplemented",
+        "unreachable",
+        "allow_attributes",
+        "allow_attributes_without_reason",
+    ] {
+        assert!(
+            root_manifest.contains(&format!("\n{lint} = \"deny\"\n")),
+            "[workspace.lints.clippy] must deny {lint}"
+        );
+    }
+}
+
+#[test]
+fn accounting_crates_deny_narrowing_casts() {
+    // Cargo rejects per-crate lint entries next to `workspace = true`,
+    // so the cast lints sit at the crate roots.
+    for rel in ["crates/sim/src/lib.rs", "crates/rum/src/lib.rs"] {
+        assert!(
+            read(&workspace_root().join(rel)).contains(
+                "#![deny(clippy::cast_possible_truncation, \
+                 clippy::cast_possible_wrap)]"
+            ),
+            "{rel} must deny narrowing casts"
         );
     }
 }
