@@ -141,9 +141,24 @@ pub fn periodicity(series: &[f64]) -> f64 {
     if !total.is_finite() || total <= 1e-12 {
         return 0.0;
     }
-    let mut top = spectrum.to_vec();
-    top.sort_by(|a, b| b.total_cmp(a));
-    top.iter().take(3).sum::<f64>() / total
+    top_three_sum(&spectrum) / total
+}
+
+/// The sum of the three largest powers under `total_cmp` (fewer when
+/// there are fewer), largest first: what summing the first three of the
+/// powers sorted in descending order gives, in one pass.
+fn top_three_sum(powers: &[f64]) -> f64 {
+    // Descending; a power equal to a kept one goes after it, as in a
+    // stable sort (equal under `total_cmp` means equal bits).
+    let mut top: Vec<f64> = Vec::with_capacity(4);
+    for &p in powers {
+        let at = top.partition_point(|t| t.total_cmp(&p).is_ge());
+        if at < 3 {
+            top.insert(at, p);
+            top.truncate(3);
+        }
+    }
+    top.iter().sum()
 }
 
 /// Computes the density feature: `ln(1 + sum(series))`.
@@ -273,6 +288,46 @@ mod tests {
             nonlinear > linear,
             "nonlinear {nonlinear} vs linear {linear}"
         );
+    }
+
+    /// The sort the one-pass selection replaced, kept as its
+    /// bit-identity reference.
+    fn reference_top_three_sum(powers: &[f64]) -> f64 {
+        let mut top = powers.to_vec();
+        top.sort_by(|a, b| b.total_cmp(a));
+        top.iter().take(3).sum::<f64>()
+    }
+
+    #[test]
+    fn top_three_matches_the_sort_bit_for_bit() {
+        let mut cases: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![0.5],
+            vec![0.25, 2.0],
+            vec![0.0; 252],
+            vec![-0.0, 0.0, -0.0, 0.0],
+            // Ties at and around the cut.
+            vec![1.0, 3.0, 3.0, 2.0, 3.0, 2.0],
+            vec![1e-300, 1e300, 1.0, 1e300, 1e-300],
+            vec![0.1, 0.2, 0.3, 0.3, 0.2, 0.1],
+        ];
+        for seed in 0..8 {
+            let series = match seed % 3 {
+                0 => noise_series(504, seed),
+                1 => random_walk(504, seed),
+                _ => periodic_series(120),
+            };
+            cases.push(power_spectrum(&series));
+        }
+        let mut rng = Rng::seed_from_u64(9);
+        cases.push((0..252).map(|_| rng.below(4) as f64).collect());
+        for powers in &cases {
+            assert_eq!(
+                top_three_sum(powers).to_bits(),
+                reference_top_three_sum(powers).to_bits(),
+                "{powers:?}"
+            );
+        }
     }
 
     #[test]

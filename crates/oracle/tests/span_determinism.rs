@@ -21,7 +21,9 @@ use femux_sim::{
 };
 use femux_trace::synth::ibm::{generate, IbmFleetConfig};
 
-/// Serializes the tests that toggle the process-global obs switches.
+/// Serializes the tests that toggle the process-global obs switches,
+/// and every test that simulates: while a capture has recording on, a
+/// simulation on another test thread would add its counters to it.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn spans_cfg(rate: f64) -> SimConfig {
@@ -111,6 +113,7 @@ fn rate_zero_is_indistinguishable_from_no_span_config() {
 
 #[test]
 fn span_segments_sum_to_the_engine_delay_exactly_and_match_the_oracle() {
+    let _lock = OBS_LOCK.lock().expect("obs test lock");
     let trace = generate(&IbmFleetConfig::small(23));
     // The per-millisecond oracle steps every ms of the span, so clamp
     // the replay window (the clamp itself is part of the contract) and

@@ -128,9 +128,9 @@ pub fn schwert_lags(n: usize) -> usize {
 /// `t + 1` arrives, so rows are folded into [`NormalEquations`] in
 /// arrival order — the same order, through the same fold, as the batch
 /// test's [`ols_with_errors`]. [`AdfAccumulator::finalize`] then
-/// performs the identical solve / ridge / residual / standard-error
-/// sequence, so every floating-point operation happens on the same
-/// operands in the same order as the batch path.
+/// performs the identical factorization / ridge / solve / residual /
+/// standard-error sequence, so every floating-point operation it makes
+/// happens on the same operands in the same order as the batch path.
 ///
 /// This is what lets the online serving harness maintain the
 /// stationarity feature incrementally per sample instead of
@@ -240,7 +240,7 @@ impl AdfAccumulator {
         if rows <= cols {
             return None;
         }
-        let beta = self.system.solve()?;
+        let (beta, lu) = self.system.solve_keeping_factors()?;
         // ols_with_errors(): one residual pass regenerating each design
         // row; the per-row dot product and the RSS fold replicate
         // matvec()'s zip/map/sum and the batch in-order accumulation.
@@ -260,16 +260,11 @@ impl AdfAccumulator {
         }
         let dof = rows - cols;
         let sigma2 = rss / dof as f64;
-        // Standard errors: solve against every unit vector (any failure
-        // fails the fit, as in the batch path), keeping coefficient 1.
-        let mut se1 = 0.0;
-        for j in 0..cols {
-            let var = sigma2 * self.system.solve_unit(j)?[j];
-            let se = if var > 0.0 { var.sqrt() } else { 0.0 };
-            if j == 1 {
-                se1 = se;
-            }
-        }
+        // The standard error of coefficient 1, the only one the test
+        // reads; the batch path computes the others from the same
+        // factorization, which cannot fail once `beta` is solved.
+        let var = sigma2 * lu.inverse_diagonal(1);
+        let se1 = if var > 0.0 { var.sqrt() } else { 0.0 };
         if se1 <= 1e-12 {
             return Some(AdfResult {
                 statistic: -100.0,

@@ -58,7 +58,33 @@ struct PairStats {
 
 /// Computes [`PairStats`] in one pass over the pairs `i < j` (see the
 /// module docs). Needs `xs.len() >= m + 1` and `xs.len() >= 3`.
+///
+/// On an x86-64 CPU with AVX2 this runs the body compiled for AVX2,
+/// where the compiler vectorizes the pair loop with 256-bit vectors;
+/// elsewhere it runs the portable build. Both are [`pair_stats_body`],
+/// and the results are the same: the predicate is a comparison, the
+/// counts are integers, and rustc never contracts or reassociates `f64`
+/// operations.
 fn pair_stats(xs: &[f64], m: usize, eps: f64) -> PairStats {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `pair_stats_avx2` needs AVX2, which the CPU was just
+        // detected to support.
+        return unsafe { pair_stats_avx2(xs, m, eps) };
+    }
+    pair_stats_body(xs, m, eps)
+}
+
+/// [`pair_stats_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn pair_stats_avx2(xs: &[f64], m: usize, eps: f64) -> PairStats {
+    pair_stats_body(xs, m, eps)
+}
+
+/// The one implementation of [`pair_stats`], inlined into each build.
+#[inline(always)]
+fn pair_stats_body(xs: &[f64], m: usize, eps: f64) -> PairStats {
     let n = xs.len();
     // run[d - 1]: close pairs in a row ending at (i, i + d) on diagonal d.
     let mut run = vec![0usize; n];
@@ -382,25 +408,34 @@ mod tests {
                 let sd = std_dev(xs);
                 for eps in [0.0, 0.5, 1.0, 2.0].map(|f| f * sd) {
                     for m in [2usize, 3] {
-                        let s = pair_stats(xs, m, eps);
                         let want = [
                             correlation_integral(xs, 1, eps),
                             correlation_integral(xs, m, eps),
                             k_estimator(xs, eps),
                         ];
-                        if eps.is_nan() {
-                            // The loops disagree with each other on a NaN
-                            // radius (`>=` vs `<`); bds_test rejects it
-                            // either way, through C_1 or K.
-                            assert!(s.c1 <= 0.0 && want[2] <= 0.0);
-                            continue;
-                        }
-                        for (got, want) in [s.c1, s.cm, s.k].iter().zip(want) {
-                            assert_eq!(
-                                got.to_bits(),
-                                want.to_bits(),
-                                "{name} m {m} eps {eps}: {got} vs {want}"
-                            );
+                        // The portable build, and the one the dispatch
+                        // picks: the AVX2 build where the CPU has it.
+                        for (build, s) in [
+                            ("portable", pair_stats_body(xs, m, eps)),
+                            ("dispatched", pair_stats(xs, m, eps)),
+                        ] {
+                            if eps.is_nan() {
+                                // The loops disagree with each other on a
+                                // NaN radius (`>=` vs `<`); bds_test
+                                // rejects it either way, through C_1 or K.
+                                assert!(s.c1 <= 0.0 && want[2] <= 0.0);
+                                continue;
+                            }
+                            for (got, want) in
+                                [s.c1, s.cm, s.k].iter().zip(want)
+                            {
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "{name} {build} m {m} eps {eps}: \
+                                     {got} vs {want}"
+                                );
+                            }
                         }
                     }
                 }

@@ -6,8 +6,35 @@
 //! Cooley-Tukey transform for power-of-two lengths and Bluestein's
 //! chirp-z algorithm for arbitrary lengths, so 504-minute blocks can be
 //! transformed without padding artifacts.
+//!
+//! # Plans
+//!
+//! What a transform needs besides its input depends only on its length
+//! and direction, so each thread builds it once per length and keeps it:
+//!
+//! - a radix-2 plan holds the bit-reversal swaps and, per direction, the
+//!   twiddles of every butterfly stage, produced by the `w = w * wlen`
+//!   recurrence rather than one `cis` per twiddle, whose rounding
+//!   differs: every recorded digest and figure was computed with the
+//!   recurrence's values;
+//! - a Bluestein plan holds the chirp and the forward transform of its
+//!   zero-padded conjugate, so a call runs two power-of-two transforms
+//!   instead of three and evaluates no `cis`.
+//!
+//! The plans hold the values the per-call code computed, and the data
+//! goes through the same operations in the same order, so every output
+//! is bit-identical to building them on each call (the per-call code
+//! survives as the tests' reference). Plans live in thread-locals: they
+//! are never shared, so they need no lock, and a `par_map` worker's
+//! output cannot depend on which plans its thread already holds. The
+//! workspace transforms forecast histories and feature blocks, so the
+//! cached lengths are bounded by `max(history, block_len)`.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::ops::{Add, Mul, Neg, Sub};
+use std::rc::Rc;
+use std::thread::LocalKey;
 
 /// A complex number in Cartesian form.
 ///
@@ -130,32 +157,122 @@ fn fft_pow2_dir(buf: &mut [Complex], inverse: bool) {
     if n <= 1 {
         return;
     }
-    // Bit-reversal permutation.
-    let shift = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - shift);
-        if i < j {
-            buf.swap(i, j);
-        }
+    let plan = cached(&RADIX2, n, || Radix2Plan::new(n));
+    for &(i, j) in &plan.swaps {
+        buf.swap(i, j);
     }
-    // Iterative butterflies.
-    let sign = if inverse { 1.0 } else { -1.0 };
+    // Iterative butterflies, reading each stage's twiddles in turn.
+    let mut twiddles = plan.twiddles[usize::from(inverse)].as_slice();
     let mut len = 2;
     while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::cis(ang);
+        let (stage, rest) = twiddles.split_at(len / 2);
         for chunk in buf.chunks_mut(len) {
-            let mut w = Complex::new(1.0, 0.0);
             let (lo, hi) = chunk.split_at_mut(len / 2);
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
                 let u = *a;
                 let v = *b * w;
                 *a = u + v;
                 *b = u - v;
-                w = w * wlen;
             }
         }
+        twiddles = rest;
         len <<= 1;
+    }
+}
+
+thread_local! {
+    static RADIX2: RefCell<BTreeMap<usize, Rc<Radix2Plan>>> =
+        const { RefCell::new(BTreeMap::new()) };
+    static BLUESTEIN: RefCell<BTreeMap<(usize, bool), Rc<BluesteinPlan>>> =
+        const { RefCell::new(BTreeMap::new()) };
+}
+
+/// Returns this thread's plan for `key`, building it on first use.
+fn cached<K: Ord, P>(
+    cache: &'static LocalKey<RefCell<BTreeMap<K, Rc<P>>>>,
+    key: K,
+    build: impl FnOnce() -> P,
+) -> Rc<P> {
+    if let Some(plan) = cache.with_borrow(|plans| plans.get(&key).cloned()) {
+        return plan;
+    }
+    // Built outside any borrow: building a Bluestein plan runs a radix-2
+    // transform, which looks up its own plan.
+    let plan = Rc::new(build());
+    cache.with_borrow_mut(|plans| plans.insert(key, Rc::clone(&plan)));
+    plan
+}
+
+/// What a radix-2 transform of one power-of-two length `n >= 2` needs
+/// besides its input.
+struct Radix2Plan {
+    /// The bit-reversal permutation as the swaps `(i, j)`, `i < j`, in
+    /// the order the permutation loop makes them.
+    swaps: Vec<(usize, usize)>,
+    /// Forward, then inverse: the twiddles of the stages `len = 2, 4,
+    /// …, n` in turn, `len / 2` each: `w_0 = 1` and `w_{k+1} = w_k *
+    /// cis(∓2π / len)`.
+    twiddles: [Vec<Complex>; 2],
+}
+
+impl Radix2Plan {
+    fn new(n: usize) -> Self {
+        let shift = n.trailing_zeros();
+        let swaps = (0..n)
+            .map(|i| (i, i.reverse_bits() >> (usize::BITS - shift)))
+            .filter(|&(i, j)| i < j)
+            .collect();
+        let twiddles = [false, true].map(|inverse| {
+            let sign = if inverse { 1.0 } else { -1.0 };
+            let mut table = Vec::with_capacity(n - 1);
+            let mut len = 2;
+            while len <= n {
+                let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+                let wlen = Complex::cis(ang);
+                let mut w = Complex::new(1.0, 0.0);
+                for _ in 0..len / 2 {
+                    table.push(w);
+                    w = w * wlen;
+                }
+                len <<= 1;
+            }
+            table
+        });
+        Radix2Plan { swaps, twiddles }
+    }
+}
+
+/// What Bluestein's transform of one length and direction needs besides
+/// its input.
+struct BluesteinPlan {
+    /// `w_k = e^{sign * i * pi * k^2 / n}`.
+    chirp: Vec<Complex>,
+    /// The forward transform of the conjugate chirp, zero-padded to the
+    /// power-of-two convolution length and wrapped around.
+    kernel: Vec<Complex>,
+}
+
+impl BluesteinPlan {
+    fn new(n: usize, inverse: bool) -> Self {
+        let sign = if inverse { 1.0 } else { -1.0 };
+        // Using k^2 mod 2n keeps the angle argument small for long
+        // inputs, preserving precision.
+        let chirp: Vec<Complex> = (0..n)
+            .map(|k| {
+                let k2 = (k as u128 * k as u128) % (2 * n as u128);
+                Complex::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64)
+            })
+            .collect();
+        let m = (2 * n - 1).next_power_of_two();
+        let mut kernel = vec![Complex::ZERO; m];
+        for k in 0..n {
+            kernel[k] = chirp[k].conj();
+        }
+        for k in 1..n {
+            kernel[m - k] = chirp[k].conj();
+        }
+        fft_pow2(&mut kernel);
+        BluesteinPlan { chirp, kernel }
     }
 }
 
@@ -196,34 +313,22 @@ pub fn ifft(input: &[Complex]) -> Vec<Complex> {
     out
 }
 
+/// Bluestein's chirp-z transform: the DFT as a circular convolution of
+/// power-of-two length.
 fn bluestein(input: &[Complex], inverse: bool) -> Vec<Complex> {
     let n = input.len();
-    let sign = if inverse { 1.0 } else { -1.0 };
-    // Chirp: w_k = e^{sign * i * pi * k^2 / n}. Using k^2 mod 2n keeps the
-    // angle argument small for long inputs, preserving precision.
-    let chirp: Vec<Complex> = (0..n)
-        .map(|k| {
-            let k2 = (k as u128 * k as u128) % (2 * n as u128);
-            Complex::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64)
-        })
-        .collect();
-    let m = (2 * n - 1).next_power_of_two();
-    let mut a = vec![Complex::ZERO; m];
-    let mut b = vec![Complex::ZERO; m];
-    for k in 0..n {
-        a[k] = input[k] * chirp[k];
-        b[k] = chirp[k].conj();
-    }
-    for k in 1..n {
-        b[m - k] = chirp[k].conj();
+    let plan =
+        cached(&BLUESTEIN, (n, inverse), || BluesteinPlan::new(n, inverse));
+    let mut a = vec![Complex::ZERO; plan.kernel.len()];
+    for ((a, &x), &w) in a.iter_mut().zip(input).zip(&plan.chirp) {
+        *a = x * w;
     }
     fft_pow2(&mut a);
-    fft_pow2(&mut b);
-    for (x, y) in a.iter_mut().zip(b.iter()) {
+    for (x, y) in a.iter_mut().zip(&plan.kernel) {
         *x = *x * *y;
     }
     ifft_pow2(&mut a);
-    (0..n).map(|k| a[k] * chirp[k]).collect()
+    a.iter().zip(&plan.chirp).map(|(&x, &w)| x * w).collect()
 }
 
 /// Computes the DFT of a real-valued signal.
@@ -231,12 +336,6 @@ pub fn rfft(signal: &[f64]) -> Vec<Complex> {
     let input: Vec<Complex> =
         signal.iter().map(|&x| Complex::new(x, 0.0)).collect();
     fft(&input)
-}
-
-/// Reconstructs a real signal from its full-length spectrum, discarding the
-/// (numerically tiny) imaginary residue.
-pub fn irfft(spectrum: &[Complex]) -> Vec<f64> {
-    ifft(spectrum).into_iter().map(|c| c.re).collect()
 }
 
 /// A single spectral component of a real signal.
@@ -269,11 +368,15 @@ impl Harmonic {
 /// (a single `NaN`/`∞` sample poisons every bin of the transform) carry no
 /// usable harmonic and are dropped rather than ranked.
 pub fn top_harmonics(signal: &[f64], k: usize) -> (f64, Vec<Harmonic>) {
-    let n = signal.len();
-    if n == 0 {
+    if signal.is_empty() {
         return (0.0, Vec::new());
     }
-    let spec = rfft(signal);
+    strongest_harmonics(&rfft(signal), k)
+}
+
+/// [`top_harmonics`] of a real signal's full, non-empty spectrum.
+fn strongest_harmonics(spec: &[Complex], k: usize) -> (f64, Vec<Harmonic>) {
+    let n = spec.len();
     let mean = spec[0].re / n as f64;
     let half = n / 2;
     let mut comps: Vec<Harmonic> = (1..=half)
@@ -321,11 +424,15 @@ pub fn harmonic_extrapolate(
 /// (excluding DC), normalized so the entries sum to the signal's variance.
 pub fn power_spectrum(signal: &[f64]) -> Vec<f64> {
     femux_obs::counter_add("stats.fft.power_spectra", 1);
-    let n = signal.len();
-    if n < 2 {
+    if signal.len() < 2 {
         return Vec::new();
     }
-    let spec = rfft(signal);
+    one_sided_power(&rfft(signal))
+}
+
+/// [`power_spectrum`] of a real signal's full spectrum.
+fn one_sided_power(spec: &[Complex]) -> Vec<f64> {
+    let n = spec.len();
     let half = n / 2;
     (1..=half)
         .map(|bin| {
@@ -338,6 +445,223 @@ pub fn power_spectrum(signal: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
+
+    /// The radix-2 kernel the plans replaced, kept verbatim as their
+    /// bit-identity reference: the bit reversal and the twiddle
+    /// recurrence run inline on every call.
+    fn reference_fft_pow2_dir(buf: &mut [Complex], inverse: bool) {
+        let n = buf.len();
+        assert!(n.is_power_of_two(), "length {n} is not a power of two");
+        if n <= 1 {
+            return;
+        }
+        // Bit-reversal permutation.
+        let shift = n.trailing_zeros();
+        for i in 0..n {
+            let j = i.reverse_bits() >> (usize::BITS - shift);
+            if i < j {
+                buf.swap(i, j);
+            }
+        }
+        // Iterative butterflies.
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = Complex::cis(ang);
+            for chunk in buf.chunks_mut(len) {
+                let mut w = Complex::new(1.0, 0.0);
+                let (lo, hi) = chunk.split_at_mut(len / 2);
+                for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+                    let u = *a;
+                    let v = *b * w;
+                    *a = u + v;
+                    *b = u - v;
+                    w = w * wlen;
+                }
+            }
+            len <<= 1;
+        }
+    }
+
+    fn reference_ifft_pow2(buf: &mut [Complex]) {
+        reference_fft_pow2_dir(buf, true);
+        let scale = 1.0 / buf.len() as f64;
+        for v in buf.iter_mut() {
+            *v = v.scale(scale);
+        }
+    }
+
+    /// See [`reference_fft_pow2_dir`]: the chirp and its transform are
+    /// rebuilt on every call, three radix-2 transforms in all.
+    fn reference_bluestein(input: &[Complex], inverse: bool) -> Vec<Complex> {
+        let n = input.len();
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let chirp: Vec<Complex> = (0..n)
+            .map(|k| {
+                let k2 = (k as u128 * k as u128) % (2 * n as u128);
+                Complex::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64)
+            })
+            .collect();
+        let m = (2 * n - 1).next_power_of_two();
+        let mut a = vec![Complex::ZERO; m];
+        let mut b = vec![Complex::ZERO; m];
+        for k in 0..n {
+            a[k] = input[k] * chirp[k];
+            b[k] = chirp[k].conj();
+        }
+        for k in 1..n {
+            b[m - k] = chirp[k].conj();
+        }
+        reference_fft_pow2_dir(&mut a, false);
+        reference_fft_pow2_dir(&mut b, false);
+        for (x, y) in a.iter_mut().zip(b.iter()) {
+            *x = *x * *y;
+        }
+        reference_ifft_pow2(&mut a);
+        (0..n).map(|k| a[k] * chirp[k]).collect()
+    }
+
+    fn reference_fft(input: &[Complex]) -> Vec<Complex> {
+        let n = input.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        if n.is_power_of_two() {
+            let mut buf = input.to_vec();
+            reference_fft_pow2_dir(&mut buf, false);
+            return buf;
+        }
+        reference_bluestein(input, false)
+    }
+
+    fn reference_ifft(input: &[Complex]) -> Vec<Complex> {
+        let n = input.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        if n.is_power_of_two() {
+            let mut buf = input.to_vec();
+            reference_ifft_pow2(&mut buf);
+            return buf;
+        }
+        let mut out = reference_bluestein(input, true);
+        let scale = 1.0 / n as f64;
+        for v in &mut out {
+            *v = v.scale(scale);
+        }
+        out
+    }
+
+    fn reference_rfft(signal: &[f64]) -> Vec<Complex> {
+        let input: Vec<Complex> =
+            signal.iter().map(|&x| Complex::new(x, 0.0)).collect();
+        reference_fft(&input)
+    }
+
+    fn assert_bits(got: &[Complex], want: &[Complex], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.re.to_bits() == w.re.to_bits()
+                    && g.im.to_bits() == w.im.to_bits(),
+                "{what}: bin {k}: {g:?} vs {w:?}"
+            );
+        }
+    }
+
+    fn seeded_complex(n: usize, seed: u64) -> Vec<Complex> {
+        let mut rng = Rng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| Complex::new(rng.normal(), rng.normal()))
+            .collect()
+    }
+
+    #[test]
+    fn planned_transforms_match_the_per_call_kernels_bit_for_bit() {
+        let lengths = (1..=64).chain([120, 504, 1000, 1024]);
+        for n in lengths {
+            let input = seeded_complex(n, n as u64);
+            assert_bits(
+                &fft(&input),
+                &reference_fft(&input),
+                &format!("fft {n}"),
+            );
+            assert_bits(
+                &ifft(&input),
+                &reference_ifft(&input),
+                &format!("ifft {n}"),
+            );
+        }
+    }
+
+    #[test]
+    fn cached_plans_match_cold_ones() {
+        let input = seeded_complex(504, 7);
+        // The first call builds this thread's plans, the second reuses
+        // them, and a fresh thread builds its own.
+        let cold = fft(&input);
+        let warm = fft(&input);
+        let other = std::thread::scope(|s| {
+            s.spawn(|| fft(&input)).join().expect("fft thread")
+        });
+        assert_bits(&warm, &cold, "cached plan");
+        assert_bits(&other, &cold, "fresh thread");
+        assert_bits(&cold, &reference_fft(&input), "reference");
+    }
+
+    #[test]
+    fn real_transforms_match_the_per_call_kernels_bit_for_bit() {
+        let mut windows: Vec<(String, Vec<f64>)> = Vec::new();
+        for (seed, n) in
+            [(1u64, 120usize), (2, 504), (3, 64), (4, 7), (5, 1000)]
+        {
+            let mut rng = Rng::seed_from_u64(seed);
+            let xs = (0..n).map(|_| rng.lognormal(1.0, 0.8)).collect();
+            windows.push((format!("seeded-{n}"), xs));
+        }
+        for bad in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            -f64::MAX,
+        ] {
+            let mut xs = seeded_complex(504, 11)
+                .iter()
+                .map(|c| c.re.abs())
+                .collect::<Vec<f64>>();
+            xs[100] = bad;
+            windows.push((format!("{bad:e}-504"), xs.clone()));
+            windows.push((format!("{bad:e}-120"), xs[..120].to_vec()));
+        }
+        windows.push(("all-max".into(), vec![f64::MAX; 120]));
+        for (name, xs) in &windows {
+            let want = reference_rfft(xs);
+            assert_bits(&rfft(xs), &want, &format!("rfft {name}"));
+            let power = power_spectrum(xs);
+            let want_power = one_sided_power(&want);
+            assert_eq!(power.len(), want_power.len(), "{name}");
+            for (g, w) in power.iter().zip(&want_power) {
+                assert_eq!(g.to_bits(), w.to_bits(), "power {name}");
+            }
+            for k in [3, 10] {
+                let (mean, comps) = top_harmonics(xs, k);
+                let (want_mean, want_comps) = strongest_harmonics(&want, k);
+                assert_eq!(mean.to_bits(), want_mean.to_bits(), "mean {name}");
+                assert_eq!(comps.len(), want_comps.len(), "harmonics {name}");
+                for (g, w) in comps.iter().zip(&want_comps) {
+                    assert!(
+                        g.bin == w.bin
+                            && g.amplitude.to_bits() == w.amplitude.to_bits()
+                            && g.phase.to_bits() == w.phase.to_bits(),
+                        "harmonics {name}: {g:?} vs {w:?}"
+                    );
+                }
+            }
+        }
+    }
 
     fn naive_dft(input: &[Complex]) -> Vec<Complex> {
         let n = input.len();

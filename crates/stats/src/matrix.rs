@@ -137,50 +137,7 @@ impl Matrix {
     pub fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
         assert_eq!(self.rows, self.cols, "solve requires a square matrix");
         assert_eq!(b.len(), self.rows, "rhs length mismatch");
-        let n = self.rows;
-        let mut a = self.data.clone();
-        let mut x = b.to_vec();
-        for col in 0..n {
-            // Partial pivot.
-            let mut pivot = col;
-            let mut best = a[col * n + col].abs();
-            for r in col + 1..n {
-                let v = a[r * n + col].abs();
-                if v > best {
-                    best = v;
-                    pivot = r;
-                }
-            }
-            if best < 1e-12 {
-                return None;
-            }
-            if pivot != col {
-                for j in 0..n {
-                    a.swap(col * n + j, pivot * n + j);
-                }
-                x.swap(col, pivot);
-            }
-            let d = a[col * n + col];
-            for r in col + 1..n {
-                let f = a[r * n + col] / d;
-                if f == 0.0 {
-                    continue;
-                }
-                for j in col..n {
-                    a[r * n + j] -= f * a[col * n + j];
-                }
-                x[r] -= f * x[col];
-            }
-        }
-        // Back substitution.
-        for col in (0..n).rev() {
-            let mut acc = x[col];
-            for j in col + 1..n {
-                acc -= a[col * n + j] * x[j];
-            }
-            x[col] = acc / a[col * n + col];
-        }
-        Some(x)
+        Some(Lu::new(self)?.solve(b))
     }
 
     /// Computes the Cholesky factor `L` (lower triangular, `self = L L^T`).
@@ -286,19 +243,29 @@ impl NormalEquations {
     /// traffic blocks. Returns `None` only if the ridged system is still
     /// singular.
     pub fn solve(&self) -> Option<Vec<f64>> {
-        solve_ridged(&self.gram_matrix(), &self.rhs)
+        Some(self.factor()?.solve(&self.rhs))
     }
 
-    /// Solves `X^T X v = e_j` (column `j` of the inverse, as standard
-    /// errors need) with the same ridge fallback as [`Self::solve`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is not below the column count.
-    pub fn solve_unit(&self, j: usize) -> Option<Vec<f64>> {
-        let mut e = vec![0.0; self.cols];
-        e[j] = 1.0;
-        solve_ridged(&self.gram_matrix(), &e)
+    /// Solves for `beta` as [`Self::solve`] does and keeps the
+    /// factorization, from which [`Lu::inverse_diagonal`] gives the
+    /// entries of `(X^T X)^{-1}` that standard errors need.
+    pub(crate) fn solve_keeping_factors(&self) -> Option<(Vec<f64>, Lu)> {
+        let lu = self.factor()?;
+        Some((lu.solve(&self.rhs), lu))
+    }
+
+    /// Factors `X^T X`, or `X^T X + 1e-6 I` when that is singular. The
+    /// choice depends on `X^T X` alone, so one factorization serves
+    /// every right-hand side.
+    fn factor(&self) -> Option<Lu> {
+        let gram = self.gram_matrix();
+        Lu::new(&gram).or_else(|| {
+            let mut ridged = gram;
+            for i in 0..ridged.rows() {
+                ridged[(i, i)] += 1e-6;
+            }
+            Lu::new(&ridged)
+        })
     }
 
     /// `X^T X` with the lower triangle mirrored from the upper.
@@ -314,16 +281,107 @@ impl NormalEquations {
     }
 }
 
-/// Solves `gram * x = b`, retrying with `1e-6` added to the diagonal when
-/// the plain system is singular.
-fn solve_ridged(gram: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
-    gram.solve(b).or_else(|| {
-        let mut ridged = gram.clone();
-        for i in 0..ridged.rows() {
-            ridged[(i, i)] += 1e-6;
+/// The LU factorization with partial pivoting behind [`Matrix::solve`],
+/// kept so that several right-hand sides share one factorization.
+///
+/// Each right-hand side goes through the operations an all-in-one
+/// elimination would apply to it, in the same order: at step `col` the
+/// swap with the pivot row, then `x[r] -= f * x[col]` for every row
+/// below whose multiplier `f` is not zero; then back substitution.
+pub(crate) struct Lu {
+    n: usize,
+    /// Row-major. On and above the diagonal, `U`. Below it, at `(r,
+    /// col)`, the multiplier step `col` used for the row then at `r`:
+    /// a step swaps only the columns from its own onward, so later
+    /// swaps leave earlier multipliers where their step found them.
+    factors: Vec<f64>,
+    /// The row step `col` swapped with `col` (itself for none).
+    pivots: Vec<usize>,
+}
+
+impl Lu {
+    /// Factors a square matrix; `None` when a pivot is below `1e-12`
+    /// (singular to working precision).
+    fn new(m: &Matrix) -> Option<Lu> {
+        let n = m.rows;
+        let mut a = m.data.clone();
+        let mut pivots = Vec::with_capacity(n);
+        for col in 0..n {
+            // Partial pivot.
+            let mut pivot = col;
+            let mut best = a[col * n + col].abs();
+            for r in col + 1..n {
+                let v = a[r * n + col].abs();
+                if v > best {
+                    best = v;
+                    pivot = r;
+                }
+            }
+            if best < 1e-12 {
+                return None;
+            }
+            if pivot != col {
+                for j in col..n {
+                    a.swap(col * n + j, pivot * n + j);
+                }
+            }
+            pivots.push(pivot);
+            let d = a[col * n + col];
+            for r in col + 1..n {
+                let f = a[r * n + col] / d;
+                a[r * n + col] = f;
+                if f == 0.0 {
+                    continue;
+                }
+                for j in col + 1..n {
+                    a[r * n + j] -= f * a[col * n + j];
+                }
+            }
         }
-        ridged.solve(b)
-    })
+        Some(Lu {
+            n,
+            factors: a,
+            pivots,
+        })
+    }
+
+    /// Solves for one right-hand side of the matrix's size.
+    pub(crate) fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let n = self.n;
+        let a = &self.factors;
+        let mut x = b.to_vec();
+        for (col, &pivot) in self.pivots.iter().enumerate() {
+            x.swap(col, pivot);
+            for r in col + 1..n {
+                let f = a[r * n + col];
+                if f == 0.0 {
+                    continue;
+                }
+                x[r] -= f * x[col];
+            }
+        }
+        // Back substitution.
+        for col in (0..n).rev() {
+            let mut acc = x[col];
+            for j in col + 1..n {
+                acc -= a[col * n + j] * x[j];
+            }
+            x[col] = acc / a[col * n + col];
+        }
+        x
+    }
+
+    /// Entry `(j, j)` of the inverse: component `j` of the solution
+    /// against the unit vector `e_j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not below the matrix size.
+    pub(crate) fn inverse_diagonal(&self, j: usize) -> f64 {
+        let mut e = vec![0.0; self.n];
+        e[j] = 1.0;
+        self.solve(&e)[j]
+    }
 }
 
 /// Folds every row of `x` with its target into the normal equations.
@@ -374,8 +432,7 @@ pub fn ols_with_errors(x: &Matrix, y: &[f64]) -> Option<OlsFit> {
     if n <= p {
         return None;
     }
-    let system = normal_equations(x, y);
-    let beta = system.solve()?;
+    let (beta, lu) = normal_equations(x, y).solve_keeping_factors()?;
     let fitted = x.matvec(&beta);
     let rss: f64 = y
         .iter()
@@ -384,13 +441,17 @@ pub fn ols_with_errors(x: &Matrix, y: &[f64]) -> Option<OlsFit> {
         .sum();
     let dof = n - p;
     let sigma2 = rss / dof as f64;
-    // Standard errors are sqrt of diagonal of sigma^2 (X^T X)^{-1}; obtain
-    // each diagonal element by solving against unit vectors.
-    let mut std_errors = Vec::with_capacity(p);
-    for j in 0..p {
-        let var = sigma2 * system.solve_unit(j)?[j];
-        std_errors.push(if var > 0.0 { var.sqrt() } else { 0.0 });
-    }
+    // Standard errors are sqrt of diagonal of sigma^2 (X^T X)^{-1}.
+    let std_errors = (0..p)
+        .map(|j| {
+            let var = sigma2 * lu.inverse_diagonal(j);
+            if var > 0.0 {
+                var.sqrt()
+            } else {
+                0.0
+            }
+        })
+        .collect();
     Some(OlsFit {
         beta,
         std_errors,
@@ -475,17 +536,209 @@ mod tests {
         assert!(rhs[1].is_sign_negative());
     }
 
+    /// The all-in-one elimination that `Lu` split into a factorization
+    /// and a substitution, kept verbatim as their bit-identity
+    /// reference: it eliminates the matrix and the right-hand side
+    /// together, one solve per right-hand side.
+    fn reference_solve(m: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
+        let n = m.rows;
+        let mut a = m.data.clone();
+        let mut x = b.to_vec();
+        for col in 0..n {
+            // Partial pivot.
+            let mut pivot = col;
+            let mut best = a[col * n + col].abs();
+            for r in col + 1..n {
+                let v = a[r * n + col].abs();
+                if v > best {
+                    best = v;
+                    pivot = r;
+                }
+            }
+            if best < 1e-12 {
+                return None;
+            }
+            if pivot != col {
+                for j in 0..n {
+                    a.swap(col * n + j, pivot * n + j);
+                }
+                x.swap(col, pivot);
+            }
+            let d = a[col * n + col];
+            for r in col + 1..n {
+                let f = a[r * n + col] / d;
+                if f == 0.0 {
+                    continue;
+                }
+                for j in col..n {
+                    a[r * n + j] -= f * a[col * n + j];
+                }
+                x[r] -= f * x[col];
+            }
+        }
+        // Back substitution.
+        for col in (0..n).rev() {
+            let mut acc = x[col];
+            for j in col + 1..n {
+                acc -= a[col * n + j] * x[j];
+            }
+            x[col] = acc / a[col * n + col];
+        }
+        Some(x)
+    }
+
+    /// The ridge fallback as it ran once per right-hand side.
+    fn reference_solve_ridged(gram: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
+        reference_solve(gram, b).or_else(|| {
+            let mut ridged = gram.clone();
+            for i in 0..ridged.rows() {
+                ridged[(i, i)] += 1e-6;
+            }
+            reference_solve(&ridged, b)
+        })
+    }
+
+    fn assert_same_bits(
+        got: &Option<Vec<f64>>,
+        want: &Option<Vec<f64>>,
+        what: &str,
+    ) {
+        match (got, want) {
+            (None, None) => {}
+            (Some(g), Some(w)) => {
+                assert_eq!(g.len(), w.len(), "{what}");
+                for (i, (a, b)) in g.iter().zip(w).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{what}: x[{i}] {a} vs {b}"
+                    );
+                }
+            }
+            _ => panic!("{what}: presence mismatch, {got:?} vs {want:?}"),
+        }
+    }
+
+    fn random_matrix(rng: &mut crate::rng::Rng, n: usize) -> Matrix {
+        Matrix::from_vec(n, n, (0..n * n).map(|_| rng.normal()).collect())
+    }
+
     #[test]
-    fn solve_unit_is_an_inverse_column() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0], &[0.0, 1.0]]);
-        let system = normal_equations(&a, &[0.0; 3]);
-        let gram = system.gram_matrix();
-        for j in 0..2 {
-            let col = system.solve_unit(j).expect("non-singular");
-            let back = gram.matvec(&col);
-            for (i, v) in back.iter().enumerate() {
-                let unit = if i == j { 1.0 } else { 0.0 };
-                assert!((v - unit).abs() < 1e-12);
+    fn solve_matches_the_single_pass_elimination_bit_for_bit() {
+        let mut rng = crate::rng::Rng::seed_from_u64(17);
+        let mut systems: Vec<(String, Matrix)> = Vec::new();
+        for n in [1usize, 2, 3, 5, 8, 19] {
+            for trial in 0..4 {
+                systems.push((
+                    format!("random-{n}-{trial}"),
+                    random_matrix(&mut rng, n),
+                ));
+            }
+        }
+        // Sparse rows make zero multipliers, whose updates are skipped.
+        let mut sparse = random_matrix(&mut rng, 12);
+        for i in 0..12 {
+            for j in 0..12 {
+                if (i * 7 + j * 3) % 4 == 0 && i != j {
+                    sparse[(i, j)] = 0.0;
+                }
+            }
+        }
+        systems.push(("sparse".into(), sparse));
+        // Every multiplier is zero: no row update, even against an ∞.
+        let mut upper = random_matrix(&mut rng, 5);
+        for i in 0..5 {
+            for j in 0..i {
+                upper[(i, j)] = 0.0;
+            }
+        }
+        systems.push(("upper-triangular".into(), upper));
+        let mut leading_zero = random_matrix(&mut rng, 6);
+        leading_zero[(0, 0)] = 0.0;
+        leading_zero[(1, 1)] = 0.0;
+        systems.push(("zero-leading-pivot".into(), leading_zero));
+        let mut singular = random_matrix(&mut rng, 5);
+        for j in 0..5 {
+            singular[(4, j)] = singular[(1, j)] * 2.0;
+        }
+        systems.push(("singular".into(), singular));
+        systems.push(("zero".into(), Matrix::zeros(4, 4)));
+        systems.push((
+            "rank-one".into(),
+            Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]),
+        ));
+        let mut nan = random_matrix(&mut rng, 4);
+        nan[(2, 3)] = f64::NAN;
+        systems.push(("with-nan".into(), nan));
+        for (name, m) in &systems {
+            let n = m.rows();
+            for trial in 0..4 {
+                let mut b: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
+                if trial == 3 {
+                    // A zero multiplier must skip `0 * ∞`.
+                    b[0] = f64::INFINITY;
+                }
+                assert_same_bits(
+                    &m.solve(&b),
+                    &reference_solve(m, &b),
+                    &format!("{name} rhs {trial}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_factorization_matches_a_solve_per_right_hand_side() {
+        let mut rng = crate::rng::Rng::seed_from_u64(23);
+        // A full-rank design; a constant column twice and an all-zero
+        // design, whose plain systems are singular, so the ridge is used;
+        // and twin columns so large that the ridge is lost in rounding,
+        // so the ridged system is singular too.
+        let full: Vec<Vec<f64>> = (0..60)
+            .map(|_| (0..5).map(|_| rng.normal()).collect())
+            .collect();
+        let twin: Vec<Vec<f64>> = (0..60)
+            .map(|i| vec![1.0, 1.0, i as f64, rng.normal()])
+            .collect();
+        let zero: Vec<Vec<f64>> = (0..60).map(|_| vec![0.0; 3]).collect();
+        let huge: Vec<Vec<f64>> =
+            (0..60).map(|_| vec![1e20, 1e20, 1.0]).collect();
+        let designs =
+            [("full", full), ("twin", twin), ("zero", zero), ("huge", huge)];
+        for (name, rows) in designs {
+            let cols = rows[0].len();
+            let mut system = NormalEquations::new(cols);
+            for row in &rows {
+                system.push_row(row, rng.normal());
+            }
+            let gram = system.gram_matrix();
+            assert_eq!(
+                reference_solve(&gram, &system.rhs).is_none(),
+                name != "full",
+                "{name}: plain system"
+            );
+            let want_beta = reference_solve_ridged(&gram, &system.rhs);
+            assert_eq!(want_beta.is_none(), name == "huge", "{name}: ridged");
+            assert_same_bits(&system.solve(), &want_beta, name);
+            let fit = system.solve_keeping_factors();
+            assert_same_bits(
+                &fit.as_ref().map(|(beta, _)| beta.clone()),
+                &want_beta,
+                name,
+            );
+            let Some((_, lu)) = fit else {
+                continue;
+            };
+            for j in 0..cols {
+                let mut e = vec![0.0; cols];
+                e[j] = 1.0;
+                let want =
+                    reference_solve_ridged(&gram, &e).expect("factored")[j];
+                assert_eq!(
+                    lu.inverse_diagonal(j).to_bits(),
+                    want.to_bits(),
+                    "{name}: inverse diagonal {j}"
+                );
             }
         }
     }

@@ -9,11 +9,12 @@
 //! audit's own JSON report.
 //!
 //! Clippy checks the lexical hazards: clock, entropy and environment
-//! reads, hash-ordered collections, panics and narrowing casts (see
-//! `clippy.toml` and `[workspace.lints]`). `cargo test` does not run
-//! clippy, so this file pins the configuration instead: every crate
-//! inherits the workspace lints, and `femux-rum` and `femux-sim` deny
-//! narrowing casts.
+//! reads, hash-ordered collections, panics, narrowing casts and
+//! `unsafe` blocks without a `// SAFETY:` comment (see `clippy.toml`
+//! and `[workspace.lints]`). `cargo test` does not run clippy, so this
+//! file pins the configuration instead: every crate inherits the
+//! workspace lints, and `femux-rum` and `femux-sim` deny narrowing
+//! casts.
 //!
 //! Offline-only dependencies are checked on the lockfiles: a
 //! dependency that is not a path dependency records its registry or
@@ -122,6 +123,7 @@ fn every_crate_inherits_the_workspace_lints() {
         "unreachable",
         "allow_attributes",
         "allow_attributes_without_reason",
+        "undocumented_unsafe_blocks",
     ] {
         assert!(
             root_manifest.contains(&format!("\n{lint} = \"deny\"\n")),
