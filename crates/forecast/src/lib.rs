@@ -188,8 +188,14 @@ pub(crate) mod test_windows {
     use femux_trace::synth::ibm::{self, IbmFleetConfig};
 
     /// The known numerical trouble-makers: degenerate windows, extreme
-    /// dynamic range, and magnitudes where squared errors overflow.
+    /// dynamic range, magnitudes where squared errors overflow, and
+    /// non-finite samples.
     pub(crate) fn adversarial() -> Vec<(&'static str, Vec<f64>)> {
+        let with_sample_40 = |value: f64| -> Vec<f64> {
+            (0..120)
+                .map(|t| if t == 40 { value } else { (t % 9) as f64 })
+                .collect()
+        };
         vec![
             ("empty", Vec::new()),
             ("single", vec![2.0]),
@@ -219,6 +225,9 @@ pub(crate) mod test_windows {
                     .map(|t| if t % 2 == 0 { f64::MAX } else { -f64::MAX })
                     .collect(),
             ),
+            ("nan", with_sample_40(f64::NAN)),
+            ("infinity", with_sample_40(f64::INFINITY)),
+            ("negative-infinity", with_sample_40(f64::NEG_INFINITY)),
         ]
     }
 
@@ -335,8 +344,9 @@ mod tests {
 
     #[test]
     fn every_forecaster_survives_adversarial_histories() {
-        // Property: whatever (finite) history a forecaster is fed, its
-        // output is exactly `horizon` finite, non-negative values.
+        // Property: whatever history a forecaster is fed, NaN and ±∞
+        // samples included, its output is exactly `horizon` finite,
+        // non-negative values.
         let adversarial = test_windows::adversarial();
         for (label, history) in &adversarial {
             for kind in ForecasterKind::ALL {

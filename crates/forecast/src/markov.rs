@@ -35,9 +35,7 @@ impl MarkovForecaster {
     /// equal-probability (quantile) bins.
     fn quantize(&self, history: &[f64]) -> (Vec<usize>, Vec<f64>) {
         let mut sorted = history.to_vec();
-        sorted.sort_by(|a, b| {
-            a.partial_cmp(b).expect("values must not be NaN")
-        });
+        sorted.sort_by(f64::total_cmp);
         // Bin edges at interior quantiles.
         let edges: Vec<f64> = (1..self.states)
             .map(|q| {

@@ -19,6 +19,13 @@
 //! the winner is chosen with each forecaster's original rule, so every
 //! forecast is bit-identical to the point-by-point search (kept as the
 //! test reference).
+//!
+//! Holt's lanes are most of a serving tick, since the trained router
+//! picks Holt for most apps, so they also have an AVX2 build, picked at
+//! run time as `femux_stats`'s BDS pair loop is: one `#[inline(always)]`
+//! body, compiled once portably and once under
+//! `#[target_feature(enable = "avx2")]`. An AVX2 build of the SES lanes
+//! measured no faster, so SES stays portable.
 
 use crate::Forecaster;
 
@@ -78,11 +85,41 @@ impl Forecaster for SesForecaster {
     }
 }
 
-/// Runs Holt smoothing for every (α, β) lane at once; returns each
-/// lane's final level, trend and SSE of one-step errors.
-fn holt_lanes(
-    history: &[f64],
-) -> ([f64; HOLT_LANES], [f64; HOLT_LANES], [f64; HOLT_LANES]) {
+/// Each Holt lane's final level, trend and SSE of one-step errors.
+type HoltLanes = ([f64; HOLT_LANES], [f64; HOLT_LANES], [f64; HOLT_LANES]);
+
+/// Runs Holt smoothing for every (α, β) lane at once.
+///
+/// On an x86-64 CPU with AVX2 this runs the body compiled for AVX2,
+/// where the compiler advances the 54 lanes as 13 256-bit vectors and
+/// two scalar lanes instead of 27 128-bit vectors; elsewhere it runs the
+/// portable build.
+/// Both are [`holt_lanes_body`], and each lane's arithmetic is the same:
+/// rustc never contracts or reassociates `f64` operations.
+#[cfg_attr(
+    target_arch = "x86_64",
+    expect(unsafe_code, reason = "runtime CPU dispatch to the AVX2 build")
+)]
+fn holt_lanes(history: &[f64]) -> HoltLanes {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `holt_lanes_avx2` needs AVX2, which the CPU was just
+        // detected to support.
+        return unsafe { holt_lanes_avx2(history) };
+    }
+    holt_lanes_body(history)
+}
+
+/// [`holt_lanes_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn holt_lanes_avx2(history: &[f64]) -> HoltLanes {
+    holt_lanes_body(history)
+}
+
+/// The one implementation of [`holt_lanes`], inlined into each build.
+#[inline(always)]
+fn holt_lanes_body(history: &[f64]) -> HoltLanes {
     let alpha: [f64; HOLT_LANES] =
         std::array::from_fn(|l| GRID[l / HOLT_BETAS]);
     let beta: [f64; HOLT_LANES] =
@@ -241,15 +278,20 @@ mod tests {
                         "{name}: SES lane {l}"
                     );
                 }
-                let (level, trend, sse) = holt_lanes(&history);
-                for l in 0..HOLT_LANES {
-                    let (a, b) = (GRID[l / HOLT_BETAS], GRID[l % HOLT_BETAS]);
-                    let want = holt_run(&history, a, b);
-                    assert_eq!(
-                        bits(&[level[l], trend[l], sse[l]]),
-                        bits(&[want.0, want.1, want.2]),
-                        "{name}: Holt lane {l}"
-                    );
+                for (build, (level, trend, sse)) in [
+                    ("portable", holt_lanes_body(&history)),
+                    ("dispatched", holt_lanes(&history)),
+                ] {
+                    for l in 0..HOLT_LANES {
+                        let (a, b) =
+                            (GRID[l / HOLT_BETAS], GRID[l % HOLT_BETAS]);
+                        let want = holt_run(&history, a, b);
+                        assert_eq!(
+                            bits(&[level[l], trend[l], sse[l]]),
+                            bits(&[want.0, want.1, want.2]),
+                            "{name}: {build} Holt lane {l}"
+                        );
+                    }
                 }
             }
             for horizon in [1, 10] {

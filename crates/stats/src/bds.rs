@@ -65,6 +65,10 @@ struct PairStats {
 /// and the results are the same: the predicate is a comparison, the
 /// counts are integers, and rustc never contracts or reassociates `f64`
 /// operations.
+#[cfg_attr(
+    target_arch = "x86_64",
+    expect(unsafe_code, reason = "runtime CPU dispatch to the AVX2 build")
+)]
 fn pair_stats(xs: &[f64], m: usize, eps: f64) -> PairStats {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {

@@ -10,11 +10,12 @@
 //!
 //! Clippy checks the lexical hazards: clock, entropy and environment
 //! reads, hash-ordered collections, panics, narrowing casts and
-//! `unsafe` blocks without a `// SAFETY:` comment (see `clippy.toml`
-//! and `[workspace.lints]`). `cargo test` does not run clippy, so this
-//! file pins the configuration instead: every crate inherits the
-//! workspace lints, and `femux-rum` and `femux-sim` deny narrowing
-//! casts.
+//! `unsafe` blocks without a `// SAFETY:` comment, and rustc denies
+//! `unsafe` outside the runtime CPU dispatchers that expect the lint
+//! (see `clippy.toml` and `[workspace.lints]`). `cargo test` does not
+//! run clippy, so this file pins the configuration instead: every crate
+//! inherits the workspace lints, and `femux-rum` and `femux-sim` deny
+//! narrowing casts.
 //!
 //! Offline-only dependencies are checked on the lockfiles: a
 //! dependency that is not a path dependency records its registry or
@@ -115,6 +116,11 @@ fn every_crate_inherits_the_workspace_lints() {
         );
     }
     let root_manifest = read(&root.join("Cargo.toml"));
+    assert!(
+        root_manifest
+            .contains("\n[workspace.lints.rust]\nunsafe_code = \"deny\"\n"),
+        "[workspace.lints.rust] must deny unsafe_code"
+    );
     for lint in [
         "unwrap_used",
         "panic",
