@@ -182,6 +182,45 @@ mod tests {
     }
 
     #[test]
+    fn fleet_records_are_identical_at_any_thread_count() {
+        // Both fleet sweeps fan out through `par_map`, so their records
+        // must not depend on the worker count. The first app is the
+        // longest: run in parallel, it finishes last.
+        let cfg = FemuxConfig::for_tests();
+        let apps: Vec<TrainApp> = (0..6)
+            .map(|i| {
+                let mut app = periodic_app(if i == 0 { 1_800 } else { 480 });
+                for (t, v) in app.concurrency.iter_mut().enumerate() {
+                    *v *= 1.0 + 0.1 * ((t * (i + 3)) % 7) as f64;
+                }
+                app
+            })
+            .collect();
+        let model = Arc::new(
+            train(&apps, &cfg, ClassifierKind::KMeans).expect("model"),
+        );
+        let records = |threads: usize| {
+            let _threads = femux_par::override_threads(threads);
+            let single: Vec<Vec<CostRecord>> = cfg
+                .forecasters
+                .iter()
+                .map(|&kind| {
+                    eval_forecaster_fleet(
+                        &apps,
+                        kind,
+                        cfg.history,
+                        cfg.label_stride,
+                        0.808,
+                    )
+                })
+                .collect();
+            let femux = eval_femux_fleet(&apps, &model, 0.808);
+            format!("{:?}", (single, femux))
+        };
+        assert_eq!(records(1), records(8));
+    }
+
+    #[test]
     fn keepalive_peak_has_few_cold_starts() {
         let app = periodic_app(600);
         let ka = eval_keepalive(&app, 10, 60, 0.808);

@@ -366,7 +366,7 @@ impl AppFaults {
 /// The sim engine draws once per *up* node per tick, in ascending node
 /// order, after the pod-level per-tick draws (`crash_pod`,
 /// `lose_report`) and before the decision-side `actuation_fate` draw —
-/// the draw-order contract the `fault-draw-order` audit rule enforces.
+/// the draw-order contract that `tests/fault_determinism.rs` pins.
 /// Down nodes cannot crash again, so they are skipped; up-ness is
 /// itself deterministic, so the stream stays replayable.
 #[derive(Debug, Clone)]

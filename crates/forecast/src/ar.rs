@@ -40,7 +40,7 @@ impl Forecaster for ArForecaster {
         "ar"
     }
 
-    fn forecast(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
+    fn predict(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
         if history.is_empty() || horizon == 0 {
             return vec![0.0; horizon];
         }
@@ -48,9 +48,7 @@ impl Forecaster for ArForecaster {
         let Some((phi, _)) = levinson_durbin(history, self.order.min(history.len() - 1))
         else {
             // Degenerate window (constant or too short): persist the mean.
-            let mut out = vec![m.max(0.0); horizon];
-            crate::sanitize_forecast(&mut out);
-            return out;
+            return vec![m.max(0.0); horizon];
         };
         let p = phi.len();
         // Iterated AR predictions can diverge when the fitted
@@ -70,7 +68,6 @@ impl Forecaster for ArForecaster {
             series.push(clamped - m);
             out.push(clamped);
         }
-        crate::sanitize_forecast(&mut out);
         out
     }
 }

@@ -38,17 +38,14 @@ impl Forecaster for FftForecaster {
         "fft"
     }
 
-    fn forecast(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
+    fn predict(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
         if history.is_empty() || horizon == 0 {
             return vec![0.0; horizon];
         }
-        let mut out: Vec<f64> =
-            harmonic_extrapolate(history, self.harmonics, horizon)
-                .into_iter()
-                .map(|p| p.max(0.0))
-                .collect();
-        crate::sanitize_forecast(&mut out);
-        out
+        harmonic_extrapolate(history, self.harmonics, horizon)
+            .into_iter()
+            .map(|p| p.max(0.0))
+            .collect()
     }
 }
 

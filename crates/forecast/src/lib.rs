@@ -35,10 +35,22 @@ pub trait Forecaster: Send {
     /// classifier's label space).
     fn name(&self) -> &'static str;
 
-    /// Forecasts the next `horizon` steps given the trailing history
-    /// window (oldest first). Returned values are clamped to be
-    /// non-negative; the vector always has exactly `horizon` entries.
-    fn forecast(&mut self, history: &[f64], horizon: usize) -> Vec<f64>;
+    /// The model's raw prediction of the next `horizon` steps given the
+    /// trailing history window (oldest first). It must return exactly
+    /// `horizon` entries; the adversarial-history sweep checks every
+    /// in-tree impl. Values need no clamping: [`Forecaster::forecast`]
+    /// sanitizes them.
+    fn predict(&mut self, history: &[f64], horizon: usize) -> Vec<f64>;
+
+    /// Forecasts the next `horizon` steps: [`Forecaster::predict`]'s
+    /// values passed through [`sanitize_forecast`], so every value is
+    /// finite and non-negative whatever the model does. Callers use
+    /// this; impls provide `predict`.
+    fn forecast(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
+        let mut out = self.predict(history, horizon);
+        sanitize_forecast(&mut out);
+        out
+    }
 }
 
 /// The identity of a forecaster in FeMux's multiplexed set.
@@ -144,13 +156,15 @@ impl std::fmt::Display for ForecasterKind {
 /// Clamps a forecast to the trait's output contract in place: every
 /// value finite and non-negative (`NaN`, `±∞`, and negatives become
 /// zero — zero, not a guess, because a forecaster emitting garbage has
-/// forfeited any claim about demand).
+/// forfeited any claim about demand). It never changes the length;
+/// returning `horizon` entries is each [`Forecaster::predict`]'s job.
 ///
-/// Every in-tree forecaster calls this at the tail of
-/// [`Forecaster::forecast`], so numerical blow-ups deep in a model
-/// (an unstable AR fit, an FFT overflow) can never leak past the trait
-/// boundary. Existing algorithmic clamps stay in place; this is the
-/// final backstop, not a replacement.
+/// [`Forecaster::forecast`] applies this to every impl's prediction,
+/// so numerical blow-ups deep in a model (an unstable AR fit, an FFT
+/// overflow) can never leak past the trait boundary. Existing
+/// algorithmic clamps stay in place; this is the final backstop, not a
+/// replacement. It is idempotent, so a model that already clamps gets
+/// the same bits back.
 pub fn sanitize_forecast(values: &mut [f64]) {
     for v in values {
         if !v.is_finite() || *v < 0.0 {
@@ -342,25 +356,66 @@ mod tests {
         assert_eq!(values, [1.5, 0.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
+    /// A model that predicts garbage: the provided `forecast` must clean
+    /// it up without the impl's help.
+    struct Garbage;
+
+    impl Forecaster for Garbage {
+        fn name(&self) -> &'static str {
+            "garbage"
+        }
+
+        fn predict(&mut self, _history: &[f64], _horizon: usize) -> Vec<f64> {
+            vec![-3.0, f64::NAN, f64::INFINITY, 1.5]
+        }
+    }
+
+    #[test]
+    fn forecast_sanitizes_whatever_predict_returns() {
+        assert_eq!(Garbage.forecast(&[1.0], 4), [0.0, 0.0, 0.0, 1.5]);
+    }
+
     #[test]
     fn every_forecaster_survives_adversarial_histories() {
         // Property: whatever history a forecaster is fed, NaN and ±∞
         // samples included, its output is exactly `horizon` finite,
-        // non-negative values.
-        let adversarial = test_windows::adversarial();
-        for (label, history) in &adversarial {
-            for kind in ForecasterKind::ALL {
-                let mut f = kind.build();
+        // non-negative values. A trailing +∞ is what the short-window
+        // fallbacks that persist the last value would pass through.
+        let mut histories = test_windows::adversarial();
+        histories.push(("trailing-infinity", vec![1.0, f64::INFINITY]));
+        // LSTM is the one in-tree impl outside `ForecasterKind::ALL`.
+        let cfg = lstm::LstmConfig {
+            window: 4,
+            epochs: 2,
+            ..lstm::LstmConfig::default()
+        };
+        let untrained = lstm::LstmForecaster::new(cfg);
+        let mut trained = untrained.clone();
+        trained.train(&(0..12).map(f64::from).collect::<Vec<_>>());
+        assert!(trained.is_trained());
+        for (label, history) in &histories {
+            let mut forecasters: Vec<(String, Box<dyn Forecaster>)> =
+                ForecasterKind::ALL
+                    .iter()
+                    .map(|kind| (kind.to_string(), kind.build()))
+                    .collect();
+            forecasters.push((
+                "untrained lstm".into(),
+                Box::new(untrained.clone()),
+            ));
+            forecasters
+                .push(("trained lstm".into(), Box::new(trained.clone())));
+            for (name, f) in &mut forecasters {
                 for horizon in [1usize, 4, 60] {
                     let pred = f.forecast(history, horizon);
                     assert_eq!(
                         pred.len(),
                         horizon,
-                        "{kind} on {label}: wrong length"
+                        "{name} on {label}: wrong length"
                     );
                     assert!(
                         pred.iter().all(|p| p.is_finite() && *p >= 0.0),
-                        "{kind} on {label} horizon {horizon} leaked a \
+                        "{name} on {label} horizon {horizon} leaked a \
                          bad value: {pred:?}"
                     );
                 }

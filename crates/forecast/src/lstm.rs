@@ -296,7 +296,7 @@ impl Forecaster for LstmForecaster {
         "lstm"
     }
 
-    fn forecast(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
+    fn predict(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
         if history.is_empty() || horizon == 0 {
             return vec![0.0; horizon];
         }
@@ -318,7 +318,6 @@ impl Forecaster for LstmForecaster {
             xs.push(y);
             out.push(y * self.scale);
         }
-        crate::sanitize_forecast(&mut out);
         out
     }
 }

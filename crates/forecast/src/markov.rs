@@ -71,7 +71,7 @@ impl Forecaster for MarkovForecaster {
         "markov"
     }
 
-    fn forecast(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
+    fn predict(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
         if history.is_empty() || horizon == 0 {
             return vec![0.0; horizon];
         }
@@ -113,7 +113,6 @@ impl Forecaster for MarkovForecaster {
                 .sum();
             out.push(expected.max(0.0));
         }
-        crate::sanitize_forecast(&mut out);
         out
     }
 }

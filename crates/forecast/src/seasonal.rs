@@ -76,7 +76,7 @@ impl Forecaster for SeasonalNaiveForecaster {
         "seasonal-naive"
     }
 
-    fn forecast(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
+    fn predict(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
         if history.is_empty() || horizon == 0 {
             return vec![0.0; horizon];
         }
@@ -88,7 +88,7 @@ impl Forecaster for SeasonalNaiveForecaster {
             let last = history[history.len() - 1].max(0.0);
             return vec![last; horizon];
         };
-        let mut out: Vec<f64> = (0..horizon)
+        (0..horizon)
             .map(|h| {
                 // Step `len + h` echoes step `len + h - k*period` for the
                 // smallest k that lands inside the window.
@@ -101,9 +101,7 @@ impl Forecaster for SeasonalNaiveForecaster {
                 }
                 history[idx].max(0.0)
             })
-            .collect();
-        crate::sanitize_forecast(&mut out);
-        out
+            .collect()
     }
 }
 

@@ -303,7 +303,7 @@ impl Forecaster for SetarForecaster {
         "setar"
     }
 
-    fn forecast(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
+    fn predict(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
         if history.is_empty() || horizon == 0 {
             return vec![0.0; horizon];
         }
@@ -323,7 +323,6 @@ impl Forecaster for SetarForecaster {
             series.push(pred);
             out.push(pred);
         }
-        crate::sanitize_forecast(&mut out);
         out
     }
 }

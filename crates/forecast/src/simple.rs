@@ -36,15 +36,13 @@ impl Forecaster for MovingAverageForecaster {
         "moving-average"
     }
 
-    fn forecast(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
+    fn predict(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
         if history.is_empty() {
             return vec![0.0; horizon];
         }
         let start = history.len().saturating_sub(self.window);
         let avg = femux_stats::desc::mean(&history[start..]).max(0.0);
-        let mut out = vec![avg; horizon];
-        crate::sanitize_forecast(&mut out);
-        out
+        vec![avg; horizon]
     }
 }
 
@@ -57,11 +55,9 @@ impl Forecaster for NaiveForecaster {
         "naive"
     }
 
-    fn forecast(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
+    fn predict(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
         let last = history.last().copied().unwrap_or(0.0).max(0.0);
-        let mut out = vec![last; horizon];
-        crate::sanitize_forecast(&mut out);
-        out
+        vec![last; horizon]
     }
 }
 

@@ -62,7 +62,7 @@ impl Forecaster for SesForecaster {
         "exp-smoothing"
     }
 
-    fn forecast(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
+    fn predict(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
         if history.is_empty() || horizon == 0 {
             return vec![0.0; horizon];
         }
@@ -79,9 +79,7 @@ impl Forecaster for SesForecaster {
             }
         }
         let level = best.map_or(0.0, |b| level[b]);
-        let mut out = vec![level.max(0.0); horizon];
-        crate::sanitize_forecast(&mut out);
-        out
+        vec![level.max(0.0); horizon]
     }
 }
 
@@ -153,7 +151,7 @@ impl Forecaster for HoltForecaster {
         "holt"
     }
 
-    fn forecast(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
+    fn predict(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
         if history.is_empty() || horizon == 0 {
             return vec![0.0; horizon];
         }
@@ -170,11 +168,9 @@ impl Forecaster for HoltForecaster {
             }
         }
         let (_, level, trend) = best;
-        let mut out: Vec<f64> = (1..=horizon)
+        (1..=horizon)
             .map(|h| (level + trend * h as f64).max(0.0))
-            .collect();
-        crate::sanitize_forecast(&mut out);
-        out
+            .collect()
     }
 }
 

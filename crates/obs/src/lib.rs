@@ -18,8 +18,8 @@
 //! 1. **Virtual time** — simulator/Knative milliseconds, passed by the
 //!    caller. All semantic events (cold starts, scale decisions) carry
 //!    virtual timestamps and are fully reproducible.
-//! 2. **Wall time** — quarantined in [`walltime`], the one
-//!    audit-sanctioned clock site, and only recorded into `wall.*`
+//! 2. **Wall time** — quarantined in [`walltime`], the deterministic
+//!    crates' one clock site, and only recorded into `wall.*`
 //!    metrics while [`set_profiling`] is on (which waives the
 //!    determinism guarantee for those metrics alone).
 //!
@@ -278,6 +278,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "tests the raw merge: each worker calls flush_thread itself"
+    )]
     fn worker_thread_sinks_merge_into_collect() {
         let _lock = OBS_LOCK.lock().expect("obs test lock");
         let _g = scoped(true);
@@ -303,6 +307,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "emulates a parallel section by hand: each worker calls flush_thread itself"
+    )]
     fn merged_report_is_byte_identical_across_thread_layouts() {
         let _lock = OBS_LOCK.lock().expect("obs test lock");
         let run = |workers: usize| {

@@ -30,10 +30,10 @@
 //! # Guarded emission
 //!
 //! Trace-event emission for spans goes through [`SpanGuard`], whose
-//! `Drop` closes the span. Deterministic crates must not call the raw
-//! [`open_span`]/[`close_span`] pair directly — a panic or early return
-//! between the two would leak an open span and desynchronize per-track
-//! sequences. The `contract-impl` audit rule enforces this.
+//! `Drop` closes the span. The raw open/close pair underneath it is
+//! private to this module, so no caller can open a span without the
+//! guard and leak it on a panic or early return, which would
+//! desynchronize per-track sequences.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -266,19 +266,18 @@ pub fn ambient() -> Option<SpanConfig> {
 // --- Guarded trace emission ------------------------------------------------
 
 /// An open span: the half-state between [`open_span`] and
-/// [`close_span`]. Opaque so call sites cannot forge one.
+/// [`close_span`].
 #[derive(Debug)]
-pub struct OpenSpan {
+struct OpenSpan {
     track: String,
     cat: &'static str,
     name: String,
     ts_us: u64,
 }
 
-/// Opens a span on `track` at `ts_us`. **Raw primitive** — outside
-/// `femux-obs` every opening site must go through [`SpanGuard`], whose
-/// `Drop` guarantees the matching close (audit rule `contract-impl`).
-pub fn open_span(
+/// Opens a span on `track` at `ts_us`. Only [`SpanGuard`] calls it, so
+/// its `Drop` guarantees the matching close.
+fn open_span(
     track: &str,
     cat: &'static str,
     name: &str,
@@ -292,9 +291,9 @@ pub fn open_span(
     }
 }
 
-/// Closes `open` at `end_ts_us`, emitting the complete `X` event. Raw
-/// primitive — see [`open_span`].
-pub fn close_span(open: OpenSpan, end_ts_us: u64, args: &[(&'static str, u64)]) {
+/// Closes `open` at `end_ts_us`, emitting the complete `X` event. Only
+/// [`SpanGuard`]'s `Drop` calls it.
+fn close_span(open: OpenSpan, end_ts_us: u64, args: &[(&'static str, u64)]) {
     crate::span(
         &open.track,
         open.cat,
@@ -306,8 +305,8 @@ pub fn close_span(open: OpenSpan, end_ts_us: u64, args: &[(&'static str, u64)]) 
 }
 
 /// Drop-guarded span: opens on construction, emits the complete event
-/// when dropped. The only sanctioned way for deterministic crates to
-/// record lifecycle spans — unwind-safe by construction.
+/// when dropped. The only way to record a lifecycle span —
+/// unwind-safe by construction.
 #[must_use = "the span is emitted when the guard drops"]
 pub struct SpanGuard {
     open: Option<OpenSpan>,

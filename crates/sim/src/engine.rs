@@ -914,7 +914,8 @@ impl Engine<'_> {
         // Fault draw order is part of the determinism contract: per-pod
         // crash draws in pod-vector order, then the report-loss draw,
         // then the per-node crash draws in node order, then (after the
-        // policy decision) the actuation-fate draw.
+        // policy decision) the actuation-fate draw. A golden test in
+        // `tests/fault_determinism.rs` pins what one seeded plan injects.
         if let Some(mut faults) = self.faults.take() {
             let cold = self.cold_ms as u64;
             let mut crashed = 0u64;
@@ -985,7 +986,7 @@ impl Engine<'_> {
         // Node fault domain (cluster layer + fault plan only): recover
         // matured nodes, then one crash draw per *up* node in node
         // order — after the pod-level per-tick draws, before the
-        // actuation-fate draw (the `fault-draw-order` contract). A
+        // actuation-fate draw (the draw-order contract). A
         // fired draw kills every resident pod at once; displaced pods
         // respawn on surviving nodes under capped exponential backoff,
         // degrading to queueing while the cluster stays saturated.

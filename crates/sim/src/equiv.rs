@@ -18,10 +18,10 @@
 //! The engine itself is checked against the independent
 //! per-millisecond reference in `femux-oracle`.
 //!
-//! The `femux-audit` `contract-impl` rule requires every policy that
-//! overrides `tick_idle` to be registered in a call to this function
-//! (the workspace test lives in `tests/tick_idle_equivalence.rs`), so
-//! adding an idle fast path without proving it equivalent fails CI.
+//! `tests/tick_idle_equivalence.rs` calls it for every policy that
+//! overrides `tick_idle`, and fails when an override in the tree has no
+//! such call, so adding an idle fast path without proving it equivalent
+//! fails CI.
 
 use femux_fault::FaultStats;
 use femux_trace::types::{AppId, AppRecord, Invocation, WorkloadKind};

@@ -597,6 +597,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "needs a fresh thread with an empty plan cache; it records no telemetry"
+    )]
     fn cached_plans_match_cold_ones() {
         let input = seeded_complex(504, 7);
         // The first call builds this thread's plans, the second reuses

@@ -29,7 +29,7 @@ impl Forecaster for SeasonalNaive {
         "seasonal-naive"
     }
 
-    fn forecast(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
+    fn predict(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
         (0..horizon)
             .map(|h| {
                 let idx = (history.len() + h).checked_sub(self.period);

@@ -5,7 +5,6 @@
 //! `EXPERIMENTS.md` for the per-figure reproduction index.
 
 pub use femux as core;
-pub use femux_audit as audit;
 pub use femux_baselines as baselines;
 pub use femux_classify as classify;
 pub use femux_fault as fault;

@@ -13,14 +13,20 @@
 //! 3. **Exact accounting**: `fault.*` counters equal the merged
 //!    [`femux_fault::FaultStats`] of the run — every injection observed
 //!    exactly once.
+//! 4. **Pinned draw order**: the draws advance sequential streams, so
+//!    their order within a tick decides which faults fire. One seeded
+//!    run's injections and costs are pinned to their recorded values.
 
 use std::sync::{Arc, Mutex};
 
 use femux::config::FemuxConfig;
 use femux::manager::FemuxPolicy;
 use femux::model::{train, ClassifierKind, FemuxModel, TrainApp};
-use femux_fault::FaultConfig;
-use femux_sim::{run_fleet, FleetOutcome, SimConfig};
+use femux_fault::{FaultConfig, FaultStats};
+use femux_sim::{
+    run_fleet, simulate_app, ClusterConfig, FleetOutcome,
+    KnativeDefaultPolicy, NodeConfig, SimConfig,
+};
 use femux_trace::repr::concurrency_per_minute;
 use femux_trace::synth::ibm::{generate, IbmFleetConfig};
 use femux_trace::Trace;
@@ -181,5 +187,80 @@ fn higher_rates_inject_more_and_still_complete() {
         assert!(rec.allocated_gb_seconds.is_finite());
         assert!(rec.wasted_gb_seconds.is_finite());
         assert!(rec.service_seconds.is_finite());
+    }
+}
+
+#[test]
+fn draw_order_is_pinned_by_one_seeded_run() {
+    // The engine draws `crash_pod` per pod, then `lose_report`, then
+    // `crash_node` per up node, then `actuation_fate`, every tick, and
+    // `straggle` once per cold start. Reordering the draws, or
+    // branching on `.stats` between them, hands each draw another
+    // stream position, so different faults fire and this pin fails.
+    // Keyed draws would change every count here: re-record them then.
+    let _lock = TEST_LOCK.lock().expect("test lock");
+    let trace = generate(&IbmFleetConfig {
+        n_apps: 8,
+        span_days: 1,
+        ..IbmFleetConfig::small(0xD7A3)
+    });
+    let app = trace
+        .apps
+        .iter()
+        .max_by_key(|a| a.invocations.len())
+        .expect("a fleet");
+    let cfg = SimConfig {
+        faults: Some(FaultConfig::uniform(0xD7A3, 0.05)),
+        cluster: Some(ClusterConfig::uniform(
+            4,
+            NodeConfig { cpu_milli: u64::MAX, mem_mb: 4_096 },
+        )),
+        ..SimConfig::default()
+    };
+    let res =
+        simulate_app(app, &mut KnativeDefaultPolicy, trace.span_ms, &cfg);
+    let f = res.faults;
+    assert_eq!(
+        f,
+        FaultStats {
+            pod_crashes: 65,
+            cold_stragglers: 4,
+            actuation_delays: 77,
+            actuation_drops: 69,
+            report_losses: 66,
+            forecast_faults: 0,
+            node_crashes: 259,
+        }
+    );
+    let c = &res.costs;
+    assert_eq!((c.invocations, c.cold_starts), (16_361, 101));
+    assert_eq!(
+        [
+            c.cold_start_seconds,
+            c.wasted_gb_seconds,
+            c.allocated_gb_seconds,
+            c.exec_seconds,
+            c.service_seconds,
+        ]
+        .map(f64::to_bits),
+        [
+            0x405d_b570_a3d7_0a54,
+            0x40bc_4aa9_81ca_c084,
+            0x40bc_4c28_3eb8_51ec,
+            0x409c_247a_e147_ac6f,
+            0x409d_ffd1_eb85_1d08,
+        ]
+    );
+    // Every draw kind fired; `forecast_faults` belongs to forecasting
+    // policies, which this one is not.
+    for (kind, n) in [
+        ("crash_pod", f.pod_crashes),
+        ("lose_report", f.report_losses),
+        ("crash_node", f.node_crashes),
+        ("actuation_fate (delay)", f.actuation_delays),
+        ("actuation_fate (drop)", f.actuation_drops),
+        ("straggle", f.cold_stragglers),
+    ] {
+        assert!(n > 0, "{kind} never fired, so the pin does not cover it");
     }
 }

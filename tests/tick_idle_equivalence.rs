@@ -2,12 +2,15 @@
 //!
 //! Every policy that overrides [`femux_sim::ScalingPolicy::tick_idle`]
 //! must prove the idle fast path byte-identical to per-tick decisions
-//! by appearing in an `assert_tick_idle_equivalence` call. The
-//! `femux-audit` `contract-impl` rule enforces membership: a new
-//! `tick_idle` override that is not registered here fails the audit
-//! gate. The harness itself (scenario battery, runs with and without
-//! the fast path, both intervals) lives in `femux_sim::equiv`.
+//! by appearing in an `assert_tick_idle_equivalence` call.
+//! [`every_tick_idle_override_is_registered`] enforces membership over
+//! the whole tree: a new `tick_idle` override that no call registers
+//! fails it. The harness itself (scenario battery, runs with and
+//! without the fast path, both intervals) lives in `femux_sim::equiv`.
 
+mod common;
+
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use femux::config::FemuxConfig;
@@ -104,4 +107,71 @@ fn baseline_policies_fast_forward_equivalently() {
     assert_tick_idle_equivalence("IceBreakerPolicy", &mut || {
         Box::new(IceBreakerPolicy::new())
     });
+}
+
+/// The `T` of every `impl ScalingPolicy for T` block in rustfmt'd
+/// `text` that overrides `tick_idle`. A block runs to the first line
+/// that closes it at the `impl`'s indentation.
+fn idle_overrides(text: &str) -> Vec<String> {
+    let lines: Vec<&str> = text.lines().collect();
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let body = line.trim_start();
+        let Some((_, ty)) = body
+            .strip_prefix("impl")
+            .and_then(|rest| rest.split_once("ScalingPolicy for "))
+        else {
+            continue;
+        };
+        let close = format!("{}}}", &line[..line.len() - body.len()]);
+        let overrides = lines[i + 1..]
+            .iter()
+            .take_while(|l| **l != close)
+            .any(|l| l.trim_start().starts_with("fn tick_idle"));
+        if overrides {
+            let ty = ty
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .next()
+                .unwrap_or_default();
+            out.push(ty.to_string());
+        }
+    }
+    out
+}
+
+/// The first argument of every `assert_tick_idle_equivalence("T", ..)`
+/// call in `text`.
+fn registrations(text: &str) -> Vec<String> {
+    text.split("assert_tick_idle_equivalence(")
+        .skip(1)
+        .filter_map(|call| call.trim_start().strip_prefix('"'))
+        .filter_map(|arg| arg.split('"').next())
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn every_tick_idle_override_is_registered() {
+    let mut overrides = Vec::new();
+    let mut registered = BTreeSet::new();
+    for path in common::rust_files(common::workspace_root()) {
+        let text = common::read(&path);
+        for ty in idle_overrides(&text) {
+            overrides.push((path.display().to_string(), ty));
+        }
+        registered.extend(registrations(&text));
+    }
+    // Eleven policies under `crates/` and the benchmark's timing
+    // wrapper override it, so a scan that finds fewer is broken.
+    assert!(overrides.len() >= 12, "scan found only {overrides:?}");
+    let missing: Vec<&(String, String)> = overrides
+        .iter()
+        .filter(|(_, ty)| !registered.contains(ty))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "these policies override `tick_idle` but no \
+         `assert_tick_idle_equivalence(\"T\", ..)` call proves the idle \
+         fast path matches per-tick decisions: {missing:?}"
+    );
 }
