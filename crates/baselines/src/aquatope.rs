@@ -12,6 +12,7 @@ use femux_forecast::Forecaster;
 use femux_sim::policy::{IdleRun, IdleTicks, PolicyCtx, ScalingPolicy};
 
 /// Aquatope's per-application LSTM policy.
+#[derive(Debug, Clone)]
 pub struct AquatopePolicy {
     lstm: LstmForecaster,
     history: usize,

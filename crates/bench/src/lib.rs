@@ -174,11 +174,11 @@ impl EvalSetup {
     }
 }
 
-/// The serving-capacity fleet: `n_apps` dense IBM-like apps truncated
-/// to `steps` virtual minutes, shared by `serve_capacity` and
-/// Fig. 14-Right. Every size uses the same seed, so growing the fleet
-/// only appends apps: the first `n` apps of any larger fleet are the
-/// `n`-app fleet, which is what lets `serve_capacity` bisect on size.
+/// The serving-capacity fleet of Fig. 14-Right: `n_apps` dense
+/// IBM-like apps truncated to `steps` virtual minutes. Every size uses
+/// the same seed, so growing the fleet only appends apps: the first `n`
+/// apps of any larger fleet are the `n`-app fleet, and the figure's
+/// rows serve nested fleets.
 pub fn capacity_fleet(n_apps: usize, steps: usize) -> Trace {
     let span_ms = steps as u64 * 60_000;
     let mut trace = femux_trace::synth::ibm::generate(&IbmFleetConfig {

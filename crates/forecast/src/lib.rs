@@ -20,7 +20,6 @@ pub mod ar;
 pub mod fft;
 pub mod lstm;
 pub mod markov;
-pub mod seasonal;
 pub mod setar;
 pub mod simple;
 pub mod smoothing;
@@ -75,9 +74,6 @@ pub enum ForecasterKind {
     MovingAverage,
     /// Last-value persistence.
     Naive,
-    /// Seasonal-naive with spectral season detection (extension
-    /// forecaster, not in the paper's set).
-    SeasonalNaive,
 }
 
 impl ForecasterKind {
@@ -92,7 +88,7 @@ impl ForecasterKind {
     ];
 
     /// Every kind, including the reference forecasters.
-    pub const ALL: [ForecasterKind; 9] = [
+    pub const ALL: [ForecasterKind; 8] = [
         ForecasterKind::Ar,
         ForecasterKind::Setar,
         ForecasterKind::Fft,
@@ -101,7 +97,6 @@ impl ForecasterKind {
         ForecasterKind::Markov,
         ForecasterKind::MovingAverage,
         ForecasterKind::Naive,
-        ForecasterKind::SeasonalNaive,
     ];
 
     /// Returns the kind's stable name.
@@ -115,7 +110,6 @@ impl ForecasterKind {
             ForecasterKind::Markov => "markov",
             ForecasterKind::MovingAverage => "moving-average",
             ForecasterKind::Naive => "naive",
-            ForecasterKind::SeasonalNaive => "seasonal-naive",
         }
     }
 
@@ -140,9 +134,6 @@ impl ForecasterKind {
                 Box::new(simple::MovingAverageForecaster::knative())
             }
             ForecasterKind::Naive => Box::new(simple::NaiveForecaster),
-            ForecasterKind::SeasonalNaive => {
-                Box::new(seasonal::SeasonalNaiveForecaster::auto())
-            }
         }
     }
 }

@@ -9,7 +9,8 @@
 //! I,<app_id>,<start_ms>,<duration_ms>,<delay_ms>
 //! ```
 //!
-//! The first line is a header `femux-trace,v1,<span_ms>`.
+//! The first line is a header `femux-trace,v1,<span_ms>`. An app's
+//! `concurrency` limit must be at least 1.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
@@ -211,11 +212,20 @@ pub(crate) fn parse_trace<R: BufRead>(
                     num(field(&mut parts, lineno, "cpu")?, lineno, "cpu")?;
                 let mem_mb =
                     num(field(&mut parts, lineno, "mem")?, lineno, "mem")?;
-                let concurrency = num(
+                let concurrency: u32 = num(
                     field(&mut parts, lineno, "concurrency")?,
                     lineno,
                     "concurrency",
                 )?;
+                // Scaling divides demand by the per-pod limit, so a
+                // zero limit would ask for unbounded pods.
+                if concurrency == 0 {
+                    return Err(field_err(
+                        lineno,
+                        "concurrency",
+                        "concurrency must be at least 1",
+                    ));
+                }
                 let min_scale = num(
                     field(&mut parts, lineno, "min_scale")?,
                     lineno,
@@ -374,6 +384,31 @@ mod tests {
                 && err.to_string().contains("concurrency"),
             "message must carry line and field: {err}"
         );
+    }
+
+    #[test]
+    fn both_loaders_reject_zero_concurrency() {
+        let text = "femux-trace,v1,10000\n\
+                    A,1,app,1000,4096,0,0,150,808\n\
+                    I,1,300,500,0\n";
+        let lenient = read_trace(text.as_bytes()).unwrap_err();
+        let strict = crate::ingest::read_trace_strict(
+            text.as_bytes(),
+            crate::ingest::MonotonePolicy::Clamp,
+        )
+        .unwrap_err();
+        let crate::ingest::IngestError::Io(strict) = strict else {
+            panic!("unexpected error {strict:?}");
+        };
+        for err in [lenient, strict] {
+            match &err {
+                TraceIoError::Parse { line, field, .. } => {
+                    assert_eq!(*line, 2);
+                    assert_eq!(*field, Some("concurrency"));
+                }
+                other => panic!("unexpected error {other:?}"),
+            }
+        }
     }
 
     #[test]

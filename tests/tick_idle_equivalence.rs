@@ -93,13 +93,16 @@ fn femux_manager_fast_forwards_equivalently() {
 
 #[test]
 fn baseline_policies_fast_forward_equivalently() {
-    // Aquatope trains a Gaussian-process surrogate on an arrival
-    // series; a deterministic diurnal-ish ramp is representative.
+    // Aquatope trains an LSTM on an arrival series; a deterministic
+    // diurnal-ish ramp is representative. Training is seeded, so one
+    // trained policy cloned per run is the state every run would
+    // otherwise retrain to.
     let arrivals: Vec<f64> = (0..240)
         .map(|i| ((i % 60) as f64 / 10.0).floor())
         .collect();
+    let aquatope = AquatopePolicy::train(&arrivals, 0xAC0A).0;
     assert_tick_idle_equivalence("AquatopePolicy", &mut || {
-        Box::new(AquatopePolicy::train(&arrivals, 0xAC0A).0)
+        Box::new(aquatope.clone())
     });
     assert_tick_idle_equivalence("HybridHistogramPolicy", &mut || {
         Box::new(HybridHistogramPolicy::new())
