@@ -63,13 +63,13 @@ impl ScalingPolicy for AquatopePolicy {
         let conc_window = &ctx.avg_concurrency
             [ctx.avg_concurrency.len() - window.len()..];
         let total_conc: f64 = conc_window.iter().sum();
+        let slot = 1.0 / f64::from(ctx.config.pod_concurrency());
         let conc_per_arrival = if total_arrivals > 0.0 {
             total_conc / total_arrivals
         } else {
-            1.0 / ctx.config.concurrency as f64
+            slot
         };
-        let predicted_conc = (predicted_arrivals * conc_per_arrival)
-            .max(1.0 / ctx.config.concurrency as f64);
+        let predicted_conc = (predicted_arrivals * conc_per_arrival).max(slot);
         ctx.pods_for_concurrency(predicted_conc)
     }
 

@@ -23,3 +23,50 @@ pub use aquatope::AquatopePolicy;
 pub use faascache::{FaasCacheConfig, FaasCacheResult};
 pub use histogram::HybridHistogramPolicy;
 pub use icebreaker::IceBreakerPolicy;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use femux_sim::{
+        simulate_app, KnativeDefaultPolicy, ScalingPolicy, SimConfig,
+    };
+    use femux_trace::types::{AppId, AppRecord, Invocation, WorkloadKind};
+
+    #[test]
+    fn zero_concurrency_scales_like_one() {
+        // One 500 ms request in ten minutes, on an app built in code with
+        // concurrency 0 (the trace loaders reject it): each scaler must
+        // read it as 1, not divide by it.
+        let app_with = |concurrency| {
+            let mut app =
+                AppRecord::new(AppId(0), WorkloadKind::Application);
+            app.config.concurrency = concurrency;
+            app.invocations.push(Invocation {
+                start_ms: 1_000,
+                duration_ms: 500,
+                delay_ms: 0,
+            });
+            app
+        };
+        let (aquatope, _) = AquatopePolicy::train(&[], 1);
+        let policies: [&dyn Fn() -> Box<dyn ScalingPolicy>; 3] = [
+            &|| Box::new(KnativeDefaultPolicy),
+            &|| Box::new(IceBreakerPolicy::new()),
+            &|| Box::new(aquatope.clone()),
+        ];
+        let cfg = SimConfig::default();
+        for policy in policies {
+            let run = |concurrency| {
+                simulate_app(
+                    &app_with(concurrency),
+                    policy().as_mut(),
+                    10 * 60_000,
+                    &cfg,
+                )
+            };
+            let (zero, one) = (run(0), run(1));
+            assert_eq!(zero, one, "{}", policy().name());
+            assert!(one.pod_counts.iter().all(|&p| p <= 1));
+        }
+    }
+}

@@ -95,7 +95,7 @@ fn main() {
             continue;
         }
         let min_floor = app.config.min_scale as f64
-            * app.config.concurrency as f64;
+            * f64::from(app.config.pod_concurrency());
         let floor = |mut v: Vec<f64>| {
             for x in &mut v {
                 *x = x.max(min_floor);
@@ -133,7 +133,7 @@ fn main() {
 
         let p10 = AppParams {
             mem_gb: app.mem_used_mb as f64 / 1_024.0,
-            pod_concurrency: app.config.concurrency.max(1) as f64,
+            pod_concurrency: f64::from(app.config.pod_concurrency()),
             exec_secs: 0.2,
             step_secs: 10.0,
             cold_start_secs: 0.808,

@@ -4,17 +4,14 @@
 //! [`scaler::StandardScaler`], clusters them with [`kmeans::KMeans`]
 //! (k-means++ initialization, multiple restarts), and assigns each
 //! cluster the forecaster with the lowest summed RUM over member blocks.
-//! [`tree`] implements the supervised alternatives (CART decision tree,
-//! random forest) that the paper compares against — clustering wins by
-//! ~15 % on RUM because it is robust to individually mislabelled blocks.
+//! The cluster-level assignment tolerates individually mislabelled
+//! blocks, the paper's reason for clustering over a supervised model.
 
 pub mod kmeans;
 pub mod scaler;
-pub mod tree;
 
 pub use kmeans::{KMeans, KMeansConfig};
 pub use scaler::StandardScaler;
-pub use tree::{DecisionTree, ForestConfig, RandomForest, TreeConfig};
 
 /// Assigns each k-means cluster the label (forecaster index) with the
 /// lowest summed cost over the cluster's member blocks, and returns the

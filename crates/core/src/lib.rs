@@ -12,7 +12,7 @@
 //! - [`label`]: offline forecast simulation and the capacity-cost model
 //!   that turns forecast errors into cold starts and wasted GB-seconds.
 //! - [`model`]: the training pipeline (label → features → scale →
-//!   k-means → per-cluster forecaster) plus supervised alternatives.
+//!   k-means → per-cluster forecaster).
 //! - [`manager`]: the online per-app manager and the simulator policy.
 //!
 //! # Examples

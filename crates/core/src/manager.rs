@@ -9,8 +9,8 @@
 //!
 //! Memory is bounded however long the app runs: the manager keeps only
 //! the `cfg.history` samples the forecaster reads and an
-//! [`IncrementalExtractor`] over the current block, whose feature row is
-//! bit-for-bit equal to the batch extraction the model was trained on.
+//! [`IncrementalExtractor`] over the current block, the extractor that
+//! also computed the feature rows the model was trained on.
 //!
 //! # Graceful degradation
 //!
@@ -525,8 +525,8 @@ mod tests {
         assert_eq!(mgr.current(), model.default_forecaster);
         // Feed a strongly periodic signal for one full block: the block
         // must be classified exactly once, and the resulting choice must
-        // match what the model selects for that block by batch
-        // extraction.
+        // match what the model selects for that block extracted on its
+        // own.
         let series: Vec<f64> = (0..model.cfg.block_len)
             .map(|t| {
                 5.0 + 4.0
@@ -537,12 +537,14 @@ mod tests {
             mgr.observe(v);
         }
         assert_eq!(mgr.history_of_kinds.len(), 2);
-        let expected = model.select(&femux_features::Block {
+        let block = femux_features::Block {
             app_index: 0,
             seq: 0,
             series,
             exec_secs: 0.5,
-        });
+        };
+        let row = femux_features::extract(&block, &model.cfg.features);
+        let expected = model.select_from_features(&row.features, row.idle);
         assert_eq!(mgr.current(), expected);
     }
 

@@ -8,15 +8,13 @@
 //! forecaster with the lowest total RUM becomes the default used before
 //! an app has completed its first block.
 //!
-//! The supervised alternatives (decision tree / random forest over
-//! per-block argmin labels) exist to reproduce the paper's finding that
-//! clustering is ~15 % better on RUM.
+//! Training extracts each block's features with the same
+//! [`femux_features::IncrementalExtractor`] that
+//! [`crate::manager::AppManager`] runs online: the rows the router is
+//! trained on and the rows it routes are one computation.
 
-use femux_classify::{
-    assign_clusters, DecisionTree, ForestConfig, KMeans, RandomForest,
-    StandardScaler, TreeConfig,
-};
-use femux_features::{extract, Block};
+use femux_classify::{assign_clusters, KMeans, StandardScaler};
+use femux_features::Block;
 use femux_forecast::ForecasterKind;
 use femux_rum::CostRecord;
 
@@ -46,10 +44,6 @@ pub enum Classifier {
         /// Forecaster per cluster.
         cluster_forecasters: Vec<ForecasterKind>,
     },
-    /// CART tree over per-block argmin labels.
-    Tree(DecisionTree),
-    /// Random forest over per-block argmin labels.
-    Forest(RandomForest),
 }
 
 /// A trained FeMux model.
@@ -90,10 +84,6 @@ pub struct TrainStats {
 pub enum ClassifierKind {
     /// K-means clustering (the FeMux design).
     KMeans,
-    /// Supervised decision tree (comparison).
-    Tree,
-    /// Supervised random forest (comparison).
-    Forest,
 }
 
 /// Intermediate labelled training data, exposed so experiments can reuse
@@ -108,47 +98,6 @@ pub struct LabelledBlocks {
     pub cost_records: Vec<Vec<CostRecord>>,
     /// Labelling wall-clock, seconds.
     pub labelling_secs: f64,
-}
-
-impl LabelledBlocks {
-    /// Merges another labelled set into this one (incremental
-    /// retraining, §4.3.6: "retraining can be done incrementally by
-    /// adding or replacing blocks").
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sets were labelled with different forecaster
-    /// counts.
-    pub fn merge(&mut self, other: LabelledBlocks) {
-        if let (Some(a), Some(b)) =
-            (self.rum_costs.first(), other.rum_costs.first())
-        {
-            assert_eq!(a.len(), b.len(), "forecaster sets differ");
-        }
-        self.blocks.extend(other.blocks);
-        self.rum_costs.extend(other.rum_costs);
-        self.cost_records.extend(other.cost_records);
-        self.labelling_secs += other.labelling_secs;
-    }
-
-    /// Keeps only the newest `max_blocks` blocks (a sliding training
-    /// window for monthly/daily retraining).
-    pub fn retain_recent(&mut self, max_blocks: usize) {
-        let drop = self.blocks.len().saturating_sub(max_blocks);
-        self.blocks.drain(..drop);
-        self.rum_costs.drain(..drop);
-        self.cost_records.drain(..drop);
-    }
-
-    /// Number of labelled blocks.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// True when no blocks are labelled.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
 }
 
 /// Labels every block of the training fleet.
@@ -273,23 +222,6 @@ pub fn train_from_labels(
                     .collect(),
             }
         }
-        ClassifierKind::Tree | ClassifierKind::Forest => {
-            let labels: Vec<usize> =
-                labelled.rum_costs.iter().map(|row| argmin(row)).collect();
-            if kind == ClassifierKind::Tree {
-                Classifier::Tree(DecisionTree::fit(
-                    &scaled,
-                    &labels,
-                    &TreeConfig::default(),
-                ))
-            } else {
-                Classifier::Forest(RandomForest::fit(
-                    &scaled,
-                    &labels,
-                    &ForestConfig::default(),
-                ))
-            }
-        }
     };
     let fit_secs = femux_obs::walltime::elapsed_secs(t1);
     femux_obs::walltime::record_elapsed("wall.core.classifier_fit_us", t1);
@@ -335,24 +267,10 @@ fn argmin(values: &[f64]) -> usize {
 }
 
 impl FemuxModel {
-    /// Selects the forecaster for a completed block.
-    pub fn select(&self, block: &Block) -> ForecasterKind {
-        if femux_features::is_idle(block) {
-            return self.default_forecaster;
-        }
-        self.select_from_features(
-            &extract(block, &self.cfg.features),
-            false,
-        )
-    }
-
-    /// Selects the forecaster from an already-extracted (raw, unscaled)
-    /// feature row — the online path, where
-    /// [`crate::manager::AppManager`] maintains features incrementally
-    /// and never materializes a [`Block`]. `idle` is the block's
-    /// [`femux_features::is_idle`] verdict; idle blocks route to the
-    /// default forecaster without classification, exactly as
-    /// [`FemuxModel::select`] does.
+    /// Selects the forecaster for a completed block from its raw,
+    /// unscaled feature row and idle verdict
+    /// ([`femux_features::BlockFeatures`]). Idle blocks route to the
+    /// default forecaster without classification.
     pub fn select_from_features(
         &self,
         features: &[f64],
@@ -363,40 +281,22 @@ impl FemuxModel {
         }
         let mut feats = features.to_vec();
         self.scaler.transform_row(&mut feats);
-        match &self.classifier {
-            Classifier::KMeans {
-                kmeans,
-                cluster_forecasters,
-            } => {
-                let cluster = kmeans.predict(&feats);
-                cluster_forecasters
-                    .get(cluster)
-                    .copied()
-                    .unwrap_or(self.default_forecaster)
-            }
-            Classifier::Tree(tree) => {
-                let label = tree.predict(&feats);
-                self.cfg
-                    .forecasters
-                    .get(label)
-                    .copied()
-                    .unwrap_or(self.default_forecaster)
-            }
-            Classifier::Forest(forest) => {
-                let label = forest.predict(&feats);
-                self.cfg
-                    .forecasters
-                    .get(label)
-                    .copied()
-                    .unwrap_or(self.default_forecaster)
-            }
-        }
+        let Classifier::KMeans {
+            kmeans,
+            cluster_forecasters,
+        } = &self.classifier;
+        let cluster = kmeans.predict(&feats);
+        cluster_forecasters
+            .get(cluster)
+            .copied()
+            .unwrap_or(self.default_forecaster)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use femux_features::extract;
     use femux_stats::rng::Rng;
 
     /// A fleet whose apps are either strongly periodic (FFT territory)
@@ -476,7 +376,8 @@ mod tests {
                 .collect(),
             exec_secs: 0.5,
         };
-        let chosen = model.select(&block);
+        let row = extract(&block, &cfg.features);
+        let chosen = model.select_from_features(&row.features, row.idle);
         assert_eq!(
             chosen, best,
             "periodic block should route to the periodic cluster's best"
@@ -495,26 +396,12 @@ mod tests {
             series: vec![0.0; cfg.block_len],
             exec_secs: 0.5,
         };
-        assert_eq!(model.select(&idle), model.default_forecaster);
-    }
-
-    #[test]
-    fn supervised_classifiers_also_train() {
-        let cfg = FemuxConfig::for_tests();
-        let apps = mixed_fleet(6, 600, 4);
-        let labelled = label_fleet(&apps, &cfg);
-        for kind in [ClassifierKind::Tree, ClassifierKind::Forest] {
-            let model = train_from_labels(&labelled, &cfg, kind)
-                .expect("model trains");
-            let block = Block {
-                app_index: 0,
-                seq: 0,
-                series: vec![1.0; cfg.block_len],
-                exec_secs: 0.5,
-            };
-            // Selection returns something from the configured set.
-            assert!(cfg.forecasters.contains(&model.select(&block)));
-        }
+        let row = extract(&idle, &cfg.features);
+        assert!(row.idle);
+        assert_eq!(
+            model.select_from_features(&row.features, row.idle),
+            model.default_forecaster
+        );
     }
 
     #[test]
@@ -529,28 +416,6 @@ mod tests {
             pod_concurrency: 1,
         }];
         assert!(train(&short, &cfg, ClassifierKind::KMeans).is_none());
-    }
-
-    #[test]
-    fn incremental_retraining_extends_blocks() {
-        let cfg = FemuxConfig::for_tests();
-        let mut labelled = label_fleet(&mixed_fleet(4, 600, 7), &cfg);
-        let first = labelled.len();
-        assert!(first > 0);
-        let more = label_fleet(&mixed_fleet(2, 600, 8), &cfg);
-        let added = more.len();
-        labelled.merge(more);
-        assert_eq!(labelled.len(), first + added);
-        let model = train_from_labels(&labelled, &cfg, ClassifierKind::KMeans)
-            .expect("retrains");
-        assert_eq!(model.stats.n_blocks, first + added);
-        // Sliding window keeps only the newest blocks.
-        labelled.retain_recent(3);
-        assert_eq!(labelled.len(), 3);
-        assert!(!labelled.is_empty());
-        let small = train_from_labels(&labelled, &cfg, ClassifierKind::KMeans)
-            .expect("still trains");
-        assert_eq!(small.stats.n_blocks, 3);
     }
 
     #[test]

@@ -1,34 +1,28 @@
-//! Incremental per-sample feature maintenance for the online per-app
-//! manager.
+//! Per-sample feature maintenance: the one block feature extractor.
 //!
-//! The offline pipeline re-extracts every feature from a completed
-//! block's full series. A serving pod cannot afford that shape of work:
-//! with a thousand apps per shard, re-running the O(block × lags²) ADF
-//! design-matrix build at every block boundary concentrates milliseconds
-//! of latency into single ticks, and keeping each app's unbounded series
-//! (as [`crate::Block`]-based replay does) grows memory without limit.
+//! A serving pod cannot afford to re-extract a whole block at every
+//! boundary: with a thousand apps per shard, an O(block × lags²) ADF
+//! design-matrix build per app concentrates milliseconds of latency
+//! into single ticks, and keeping each app's unbounded series grows
+//! memory without limit. [`IncrementalExtractor`] maintains the paper's
+//! features over a fixed-capacity block buffer instead:
 //!
-//! [`IncrementalExtractor`] maintains the paper's features over a
-//! fixed-capacity block buffer instead:
-//!
-//! - **density** — the running in-order sum, folded exactly like the
-//!   batch `iter().sum::<f64>()`;
+//! - **density** — the running in-order sum of the block's samples;
 //! - **stationarity** — a streaming [`AdfAccumulator`] folds each
 //!   regression row into the Gram matrix / `X^T y` the moment the row's
 //!   samples exist, leaving only an O(rows × cols) residual pass plus
-//!   the (cols³) solve at the boundary;
+//!   the (cols³) solve at the boundary; it runs only when
+//!   [`FeatureKind::Stationarity`] is among the extractor's kinds;
 //! - **linearity** and **periodicity** — inherently whole-window
 //!   statistics (BDS needs the final mean and pairwise correlation
 //!   integral; the FFT needs the complete signal), evaluated once per
-//!   boundary over the block buffer, whose contents equal the batch
-//!   block byte-for-byte.
+//!   boundary over the block buffer.
 //!
-//! **Parity gate:** at every block boundary the emitted feature row is
-//! bit-for-bit equal to [`crate::extract`] on the equivalent
-//! [`crate::Block`] — the same f64 operations on the same operands in
-//! the same order. `tests/serve_determinism.rs` sweeps this equality
-//! over seeded synthetic fleets; any divergence is a bug in one of the
-//! two paths.
+//! Training uses the same extractor: [`crate::extract`] pushes one
+//! completed block through a fresh instance. So the one contract left
+//! is the reset: a long-lived extractor's row for every block is bit
+//! for bit the row a fresh extractor gives on that block's samples.
+//! The unit tests below and `tests/serve_determinism.rs` sweep it.
 
 use femux_stats::adf::AdfAccumulator;
 
@@ -41,13 +35,13 @@ pub struct BlockFeatures {
     pub seq: usize,
     /// Features in the extractor's configured kind order.
     pub features: Vec<f64>,
-    /// Whether the block is idle ([`crate::is_idle`] on the same
-    /// window): callers route idle blocks to the default forecaster
-    /// without classification.
+    /// Whether the block is idle (its mean is below `1e-9`): callers
+    /// route idle blocks to the default forecaster without
+    /// classification.
     pub idle: bool,
 }
 
-/// Streaming replacement for [`crate::extract`] over tumbling blocks.
+/// Block features over tumbling blocks, maintained one sample at a time.
 #[derive(Debug, Clone)]
 pub struct IncrementalExtractor {
     kinds: Vec<FeatureKind>,
@@ -58,8 +52,8 @@ pub struct IncrementalExtractor {
     buf: Vec<f64>,
     /// Running in-order sum of `buf` (density / idle detection).
     sum: f64,
-    /// Streaming ADF state; `None` when the block is too short for the
-    /// automatic test (the batch path returns the same verdict).
+    /// Streaming ADF state; `None` when stationarity is not among the
+    /// kinds, or the block is too short for the test.
     adf: Option<AdfAccumulator>,
     seq: usize,
 }
@@ -82,7 +76,11 @@ impl IncrementalExtractor {
             exec_secs,
             buf: Vec::with_capacity(block_len),
             sum: 0.0,
-            adf: AdfAccumulator::auto(block_len),
+            adf: if kinds.contains(&FeatureKind::Stationarity) {
+                AdfAccumulator::auto(block_len)
+            } else {
+                None
+            },
             seq: 0,
         }
     }
@@ -105,11 +103,6 @@ impl IncrementalExtractor {
         self.buf.len()
     }
 
-    /// Number of blocks completed so far.
-    pub fn blocks_completed(&self) -> usize {
-        self.seq
-    }
-
     /// Read-only view of the current block buffer (oldest first).
     pub fn window(&self) -> &[f64] {
         &self.buf
@@ -119,8 +112,6 @@ impl IncrementalExtractor {
     /// when this sample completes a block, `None` otherwise.
     pub fn push(&mut self, value: f64) -> Option<BlockFeatures> {
         self.buf.push(value);
-        // Density's batch fold is iter().sum::<f64>(): left-to-right
-        // from 0.0 — the same adds in the same order.
         self.sum += value;
         if let Some(adf) = self.adf.as_mut() {
             adf.push(value);
@@ -139,7 +130,7 @@ impl IncrementalExtractor {
     }
 
     fn finalize_block(&self) -> BlockFeatures {
-        femux_obs::counter_add("features.incremental.blocks", 1);
+        femux_obs::counter_add("features.blocks", 1);
         let features = self
             .kinds
             .iter()
@@ -154,15 +145,14 @@ impl IncrementalExtractor {
         BlockFeatures {
             seq: self.seq,
             features,
-            // is_idle(): mean(series) < 1e-9, with mean = the identical
-            // in-order sum divided by the length.
             idle: self.sum / (self.buf.len() as f64) < 1e-9,
         }
     }
 
+    /// The ADF statistic clamped to a sane range. A block too short or
+    /// too degenerate for the test reports a strongly stationary -30:
+    /// constant traffic is trivially predictable.
     fn stationarity(&self) -> f64 {
-        // Mirrors adf_test_auto's telemetry and the batch clamp in
-        // crate::stationarity.
         femux_obs::counter_add("stats.adf.tests", 1);
         match self.adf.as_ref().and_then(|a| a.finalize(&self.buf)) {
             Some(res) => res.statistic.clamp(-30.0, 10.0),
@@ -174,10 +164,14 @@ impl IncrementalExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{extract, is_idle, Block};
+    use crate::{extract, Block};
     use femux_stats::rng::Rng;
 
-    fn assert_block_parity(
+    /// Pushes `series` through one long-lived extractor and asserts that
+    /// each block's row, idle bit and sequence number equal, bit for
+    /// bit, what a fresh extractor gives on that block's samples
+    /// ([`extract`]): the reset at each boundary leaves nothing behind.
+    fn assert_reset_matches_fresh(
         series: &[f64],
         block_len: usize,
         kinds: &[FeatureKind],
@@ -187,28 +181,28 @@ mod tests {
         let mut boundaries = 0;
         for (t, &v) in series.iter().enumerate() {
             if let Some(out) = inc.push(v) {
-                let lo = (t + 1) - block_len;
                 let block = Block {
                     app_index: 0,
-                    seq: out.seq,
-                    series: series[lo..t + 1].to_vec(),
+                    seq: boundaries,
+                    series: series[t + 1 - block_len..t + 1].to_vec(),
                     exec_secs: 0.5,
                 };
-                let batch = extract(&block, kinds);
-                assert_eq!(batch.len(), out.features.len());
-                for (k, (b, i)) in
-                    batch.iter().zip(&out.features).enumerate()
+                let fresh = extract(&block, kinds);
+                assert_eq!(out.seq, fresh.seq, "{label}: sequence number");
+                assert_eq!(fresh.features.len(), out.features.len());
+                for (k, (f, o)) in
+                    fresh.features.iter().zip(&out.features).enumerate()
                 {
                     assert_eq!(
-                        b.to_bits(),
-                        i.to_bits(),
+                        f.to_bits(),
+                        o.to_bits(),
                         "{label}: feature {:?} diverged at block {} \
-                         (batch {b} vs incremental {i})",
+                         (fresh {f} vs long-lived {o})",
                         kinds[k],
                         out.seq
                     );
                 }
-                assert_eq!(out.idle, is_idle(&block), "{label}: idle bit");
+                assert_eq!(out.idle, fresh.idle, "{label}: idle bit");
                 boundaries += 1;
             }
         }
@@ -221,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn parity_over_signal_shapes_and_block_lengths() {
+    fn one_extractor_matches_fresh_ones_over_signal_shapes() {
         let periodic: Vec<f64> = (0..1_512)
             .map(|t| {
                 2.0 + (2.0 * std::f64::consts::PI * t as f64 / 60.0).sin()
@@ -256,7 +250,7 @@ mod tests {
         ];
         for (label, series) in &shapes {
             for block_len in [120usize, 504] {
-                assert_block_parity(
+                assert_reset_matches_fresh(
                     series,
                     block_len,
                     &FeatureKind::ALL,
@@ -267,10 +261,10 @@ mod tests {
     }
 
     #[test]
-    fn parity_on_short_blocks_without_adf() {
-        // Blocks shorter than the ADF minimum: both paths must agree on
-        // the degenerate -30 verdict.
-        assert_block_parity(
+    fn one_extractor_matches_fresh_ones_on_short_blocks() {
+        // Blocks shorter than the ADF minimum: every block reports the
+        // degenerate -30 verdict.
+        assert_reset_matches_fresh(
             &noise(60, 9),
             12,
             &FeatureKind::DEFAULT,
@@ -282,17 +276,28 @@ mod tests {
     fn progress_and_reset_bookkeeping() {
         let mut inc =
             IncrementalExtractor::new(10, 1.0, &FeatureKind::DEFAULT);
+        let mut seqs = Vec::new();
         for t in 0..25 {
             let out = inc.push(t as f64);
             assert_eq!(out.is_some(), (t + 1) % 10 == 0);
+            seqs.extend(out.map(|b| b.seq));
         }
-        assert_eq!(inc.blocks_completed(), 2);
+        assert_eq!(seqs, [0, 1]);
         assert_eq!(inc.block_progress(), 5);
         assert_eq!(inc.window(), &[20.0, 21.0, 22.0, 23.0, 24.0]);
-        let resumed =
+        let mut resumed =
             IncrementalExtractor::new(10, 1.0, &FeatureKind::DEFAULT)
                 .starting_at_block(2);
-        assert_eq!(resumed.blocks_completed(), 2);
+        let next = (0..10).find_map(|t| resumed.push(t as f64));
+        assert_eq!(next.map(|b| b.seq), Some(2));
+    }
+
+    #[test]
+    fn adf_state_only_with_stationarity() {
+        let kinds = [FeatureKind::Periodicity, FeatureKind::Density];
+        assert!(IncrementalExtractor::new(504, 0.5, &kinds).adf.is_none());
+        let all = IncrementalExtractor::new(504, 0.5, &FeatureKind::ALL);
+        assert!(all.adf.is_some());
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //! prominence), and density — and feeds them to the classifier that picks
 //! the block's forecaster. Feature extraction takes well under the
 //! paper's 5 ms budget per block.
+//!
+//! One extractor computes every row: [`IncrementalExtractor`] streams
+//! a serving app's samples, and [`extract`] pushes a completed training
+//! block through a fresh one, so the rows the router is trained on and
+//! the rows it routes are the same computation.
 
-use femux_stats::adf::adf_test_auto;
 use femux_stats::bds::bds_on_ar_residuals;
-use femux_stats::desc::mean;
 use femux_stats::fft::power_spectrum;
 
 pub mod incremental;
@@ -109,16 +112,6 @@ pub fn split_blocks(
         .collect()
 }
 
-/// Computes the stationarity feature: the ADF statistic, clamped to a
-/// sane range. Degenerate series (constant) report a strongly stationary
-/// value, since constant traffic is trivially predictable.
-pub fn stationarity(series: &[f64]) -> f64 {
-    match adf_test_auto(series) {
-        Some(res) => res.statistic.clamp(-30.0, 10.0),
-        None => -30.0,
-    }
-}
-
 /// Computes the linearity feature: |BDS| on AR(5) residuals, clamped.
 /// Returns 0 (no nonlinearity evidence) for degenerate series.
 pub fn linearity(series: &[f64]) -> f64 {
@@ -161,24 +154,22 @@ fn top_three_sum(powers: &[f64]) -> f64 {
     top.iter().sum()
 }
 
-/// Computes the density feature: `ln(1 + sum(series))`.
-pub fn density(series: &[f64]) -> f64 {
-    (1.0 + series.iter().sum::<f64>()).ln()
-}
-
 /// Extracts the requested features from a block, in the order of
-/// `kinds`.
-pub fn extract(block: &Block, kinds: &[FeatureKind]) -> Vec<f64> {
-    kinds
+/// `kinds`, by pushing its samples through a fresh
+/// [`IncrementalExtractor`] whose block count starts at `block.seq`.
+///
+/// # Panics
+///
+/// Panics if `block.series` is empty.
+pub fn extract(block: &Block, kinds: &[FeatureKind]) -> BlockFeatures {
+    let mut extractor =
+        IncrementalExtractor::new(block.series.len(), block.exec_secs, kinds)
+            .starting_at_block(block.seq);
+    block
+        .series
         .iter()
-        .map(|k| match k {
-            FeatureKind::Stationarity => stationarity(&block.series),
-            FeatureKind::Linearity => linearity(&block.series),
-            FeatureKind::Periodicity => periodicity(&block.series),
-            FeatureKind::Density => density(&block.series),
-            FeatureKind::ExecTime => (block.exec_secs.max(1e-4)).ln(),
-        })
-        .collect()
+        .find_map(|&v| extractor.push(v))
+        .expect("the block's last sample completes the block")
 }
 
 /// Extracts features for many blocks (rows of the classifier's design
@@ -192,14 +183,7 @@ pub fn extract_all(
     kinds: &[FeatureKind],
 ) -> Vec<Vec<f64>> {
     femux_obs::counter_add("features.extract_all.calls", 1);
-    femux_obs::counter_add("features.blocks", blocks.len() as u64);
-    femux_par::par_map(blocks, |_, b| extract(b, kinds))
-}
-
-/// Convenience: true if a block has effectively no traffic, in which case
-/// FeMux's default forecaster is used instead of classification.
-pub fn is_idle(block: &Block) -> bool {
-    mean(&block.series) < 1e-9
+    femux_par::par_map(blocks, |_, b| extract(b, kinds).features)
 }
 
 #[cfg(test)]
@@ -214,6 +198,11 @@ mod tests {
             series,
             exec_secs: 0.5,
         }
+    }
+
+    /// One feature of a one-block series.
+    fn feature(series: Vec<f64>, kind: FeatureKind) -> f64 {
+        extract(&block_of(series), &[kind]).features[0]
     }
 
     fn periodic_series(n: usize) -> Vec<f64> {
@@ -261,8 +250,10 @@ mod tests {
 
     #[test]
     fn stationarity_separates_signals() {
-        let stationary = stationarity(&noise_series(504, 2));
-        let wandering = stationarity(&random_walk(504, 3));
+        let stationary =
+            feature(noise_series(504, 2), FeatureKind::Stationarity);
+        let wandering =
+            feature(random_walk(504, 3), FeatureKind::Stationarity);
         // -3.43 is the 1 % ADF critical value: white noise must reject
         // the unit root decisively even with Schwert's generous lag
         // count.
@@ -332,29 +323,33 @@ mod tests {
 
     #[test]
     fn density_orders_by_mass() {
-        let quiet = density(&vec![0.01; 504]);
-        let busy = density(&vec![50.0; 504]);
+        let quiet = feature(vec![0.01; 504], FeatureKind::Density);
+        let busy = feature(vec![50.0; 504], FeatureKind::Density);
         assert!(busy > quiet);
-        assert_eq!(density(&vec![0.0; 504]), 0.0);
+        assert_eq!(feature(vec![0.0; 504], FeatureKind::Density), 0.0);
     }
 
     #[test]
     fn extract_orders_follow_kinds() {
+        // A subset without stationarity runs no ADF, and each of its
+        // features equals the full row's, bit for bit.
         let block = block_of(periodic_series(504));
+        let all = extract(&block, &FeatureKind::ALL).features;
         let kinds = [FeatureKind::Density, FeatureKind::Periodicity];
-        let feats = extract(&block, &kinds);
+        let feats = extract(&block, &kinds).features;
         assert_eq!(feats.len(), 2);
-        assert!((feats[0] - density(&block.series)).abs() < 1e-12);
-        assert!((feats[1] - periodicity(&block.series)).abs() < 1e-12);
+        assert_eq!(feats[0].to_bits(), all[3].to_bits());
+        assert_eq!(feats[1].to_bits(), all[2].to_bits());
+        assert_eq!(feats[1], periodicity(&block.series));
     }
 
     #[test]
     fn exec_feature_is_log_scale() {
         let mut block = block_of(vec![1.0; 504]);
         block.exec_secs = 1.0;
-        let f1 = extract(&block, &[FeatureKind::ExecTime])[0];
+        let f1 = extract(&block, &[FeatureKind::ExecTime]).features[0];
         block.exec_secs = std::f64::consts::E;
-        let f2 = extract(&block, &[FeatureKind::ExecTime])[0];
+        let f2 = extract(&block, &[FeatureKind::ExecTime]).features[0];
         assert!((f1 - 0.0).abs() < 1e-12);
         assert!((f2 - 1.0).abs() < 1e-12);
     }
@@ -362,15 +357,16 @@ mod tests {
     #[test]
     fn constant_block_features_are_finite() {
         let block = block_of(vec![3.0; 504]);
-        for f in extract(&block, &FeatureKind::ALL) {
+        for f in extract(&block, &FeatureKind::ALL).features {
             assert!(f.is_finite());
         }
     }
 
     #[test]
     fn idle_detection() {
-        assert!(is_idle(&block_of(vec![0.0; 504])));
-        assert!(!is_idle(&block_of(vec![0.5; 504])));
+        let idle = |series| extract(&block_of(series), &[]).idle;
+        assert!(idle(vec![0.0; 504]));
+        assert!(!idle(vec![0.5; 504]));
     }
 
     #[test]
@@ -388,7 +384,7 @@ mod tests {
     fn periodicity_nonfinite_window_is_flat_not_a_panic() {
         // Regression (serve parity gate, adversarial battery): a
         // 504-minute window carrying a single NaN sample — a lost
-        // concurrency report that reaches batch extraction unsanitized
+        // concurrency report that reaches extraction unsanitized
         // — used to panic in the power-spectrum sort ("finite power");
         // an ∞ sample produced a NaN feature that poisoned the scaler
         // downstream. Both degenerate windows now report zero
@@ -401,8 +397,9 @@ mod tests {
         // The test statistics stay finite on such windows too (density
         // deliberately reports the poisoned mass itself; the scaler
         // clamps it downstream).
-        assert!(stationarity(&series).is_finite());
-        assert!(linearity(&series).is_finite());
+        let row = extract(&block_of(series), &FeatureKind::DEFAULT);
+        assert!(row.features[0].is_finite(), "stationarity");
+        assert!(row.features[1].is_finite(), "linearity");
     }
 
     #[test]

@@ -253,7 +253,7 @@ impl KpaPolicy {
     }
 
     fn decide(&mut self, ctx: &PolicyCtx<'_>) -> usize {
-        let per_pod = (ctx.config.concurrency as f64
+        let per_pod = (f64::from(ctx.config.pod_concurrency())
             * self.cfg.target_utilization)
             .max(1.0);
         let stable =

@@ -91,7 +91,7 @@ pub fn reference_simulate(
     } else {
         0
     };
-    let concurrency = u64::from(app.config.concurrency.max(1));
+    let concurrency = u64::from(app.config.pod_concurrency());
     let mem_gb = app.mem_used_mb as f64 / 1_024.0;
     let interval = cfg.interval_ms;
 

@@ -49,7 +49,7 @@ pub fn check_conservation(
 ) -> Result<(), String> {
     res.costs.check()?;
     let mem_gb = app.mem_used_mb as f64 / 1_024.0;
-    let concurrency = f64::from(app.config.concurrency.max(1));
+    let concurrency = f64::from(app.config.pod_concurrency());
     if mem_gb > 0.0 {
         let capacity_secs =
             res.costs.allocated_gb_seconds / mem_gb * concurrency;

@@ -76,7 +76,7 @@ impl TraceFeed {
                 id: app.id,
                 samples,
                 exec_secs,
-                concurrency_limit: app.config.concurrency.max(1),
+                concurrency_limit: app.config.pod_concurrency(),
             });
         }
         if clamped_total > 0 {

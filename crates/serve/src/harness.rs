@@ -6,8 +6,8 @@
 //! is byte-identical for any shard count: sharding only partitions the
 //! per-app state — each app's sample stream, fault draws (keyed by app
 //! id), and decisions are the same wherever it lives. Wall-clock tick
-//! latencies are measured per shard for the capacity bench and
-//! deliberately excluded from the digest.
+//! latencies are measured per shard, on request, for Fig. 14-Right and
+//! perfbench, and deliberately excluded from the digest.
 //!
 //! Each app is driven by the one FeMux per-app controller,
 //! [`femux::manager::AppManager`]; the harness adds only what is
@@ -40,7 +40,7 @@ pub struct ServeConfig {
     /// Injected fault plan (report loss + forecaster faults), if any.
     pub faults: Option<FaultConfig>,
     /// Measure per-tick wall latency (off by default: the numbers are
-    /// nondeterministic and for the capacity bench only).
+    /// nondeterministic; Fig. 14-Right and perfbench turn it on).
     pub measure_latency: bool,
 }
 
@@ -124,12 +124,6 @@ impl ServeReport {
             }
         }
         crate::fnv1a(&bytes)
-    }
-
-    /// Fleet-wide pod-target sum (a cheap scalar the capacity bench
-    /// compares across runs).
-    pub fn total_pod_targets(&self) -> u64 {
-        self.apps.iter().map(|a| a.target_pod_sum).sum()
     }
 }
 

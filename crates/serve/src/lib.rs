@@ -12,15 +12,14 @@
 //! - **One controller** ([`femux::manager::AppManager`]): every app is
 //!   driven by the same bounded-memory per-app manager the offline
 //!   replay uses. Its features are maintained per sample
-//!   ([`femux_features::IncrementalExtractor`]), bit-for-bit equal to
-//!   the batch extractor at every block boundary (the parity gate); at
-//!   each boundary the k-means router picks the next forecaster, and
-//!   the degradation ladder handles demotion, backoff, and re-promotion
-//!   when forecasts panic or go non-finite.
+//!   ([`femux_features::IncrementalExtractor`], the extractor training
+//!   also runs); at each boundary the k-means router picks the next
+//!   forecaster, and the degradation ladder handles demotion, backoff,
+//!   and re-promotion when forecasts panic or go non-finite.
 //! - **Determinism** ([`harness::ServeReport::digest`]): same trace +
 //!   seed ⇒ byte-identical decisions and metrics at *any* shard count.
-//!   Wall-clock tick latencies are measured (for the capacity bench)
-//!   but excluded from the digest.
+//!   Wall-clock tick latencies are measured on request (for Fig.
+//!   14-Right and perfbench) but excluded from the digest.
 //!
 //! The trace feed ([`feed::TraceFeed`]) runs on a virtual clock — one
 //! step per trace minute — and goes through the strict ingest boundary

@@ -1556,7 +1556,7 @@ pub fn simulate_app_with_stats(
     let mut eng = Engine {
         cfg,
         track,
-        concurrency: app.config.concurrency.max(1) as u64,
+        concurrency: u64::from(app.config.pod_concurrency()),
         cold_ms,
         min_scale,
         pods: initial_pods,

@@ -43,7 +43,8 @@ impl PolicyCtx<'_> {
         if concurrency <= 0.0 {
             0
         } else {
-            (concurrency / self.config.concurrency as f64).ceil() as usize
+            (concurrency / f64::from(self.config.pod_concurrency())).ceil()
+                as usize
         }
     }
 }

@@ -1,9 +1,8 @@
-//! Autocorrelation utilities and Levinson-Durbin recursion.
+//! Autocovariance and the Levinson-Durbin recursion.
 //!
-//! The AR forecaster fits its coefficients through the Yule-Walker
-//! equations, which the Levinson-Durbin recursion solves in O(p^2). The
-//! Ljung-Box statistic is used by tests as an independence check on
-//! synthetic Poisson traffic.
+//! The AR forecaster, and the AR fit whose residuals the BDS linearity
+//! feature tests, take their coefficients from the Yule-Walker
+//! equations, which the Levinson-Durbin recursion solves in O(p^2).
 
 use crate::desc::mean;
 
@@ -21,25 +20,6 @@ pub fn autocovariance(xs: &[f64], k: usize) -> f64 {
         acc += (xs[t] - m) * (xs[t - k] - m);
     }
     acc / n as f64
-}
-
-/// Computes sample autocorrelations for lags `0..=max_lag`.
-///
-/// A constant series has undefined correlations; we return 1 at lag 0 and 0
-/// elsewhere, which is the graceful choice for constant traffic blocks.
-pub fn autocorrelations(xs: &[f64], max_lag: usize) -> Vec<f64> {
-    let c0 = autocovariance(xs, 0);
-    (0..=max_lag)
-        .map(|k| {
-            if k == 0 {
-                1.0
-            } else if c0 <= 0.0 {
-                0.0
-            } else {
-                autocovariance(xs, k) / c0
-            }
-        })
-        .collect()
 }
 
 /// Solves the Yule-Walker equations via Levinson-Durbin.
@@ -82,41 +62,6 @@ pub fn levinson_durbin(xs: &[f64], order: usize) -> Option<(Vec<f64>, f64)> {
     Some((phi, e))
 }
 
-/// Computes partial autocorrelations for lags `1..=max_lag` via the
-/// Levinson-Durbin recursion (the PACF is the sequence of final
-/// reflection coefficients).
-///
-/// Returns an empty vector for degenerate (constant or too-short)
-/// series.
-pub fn partial_autocorrelations(xs: &[f64], max_lag: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(max_lag);
-    for k in 1..=max_lag {
-        match levinson_durbin(xs, k) {
-            Some((phi, _)) => out.push(phi[k - 1]),
-            None => return out,
-        }
-    }
-    out
-}
-
-/// Computes the Ljung-Box Q statistic over `lags` autocorrelation lags.
-///
-/// Under the null hypothesis of white noise, Q is approximately
-/// chi-squared with `lags` degrees of freedom; values far above `lags`
-/// indicate serial correlation.
-pub fn ljung_box(xs: &[f64], lags: usize) -> f64 {
-    let n = xs.len();
-    if n <= lags + 1 {
-        return 0.0;
-    }
-    let rho = autocorrelations(xs, lags);
-    let nf = n as f64;
-    nf * (nf + 2.0)
-        * (1..=lags)
-            .map(|k| rho[k] * rho[k] / (nf - k as f64))
-            .sum::<f64>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,19 +75,8 @@ mod tests {
     }
 
     #[test]
-    fn autocorrelation_of_alternating_series() {
-        let xs: Vec<f64> =
-            (0..100).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
-        let rho = autocorrelations(&xs, 2);
-        assert!((rho[1] + 1.0).abs() < 0.05, "rho1 {}", rho[1]);
-        assert!((rho[2] - 1.0).abs() < 0.05, "rho2 {}", rho[2]);
-    }
-
-    #[test]
     fn constant_series_graceful() {
         let xs = vec![4.0; 50];
-        let rho = autocorrelations(&xs, 3);
-        assert_eq!(rho, vec![1.0, 0.0, 0.0, 0.0]);
         assert!(levinson_durbin(&xs, 3).is_none());
     }
 
@@ -178,44 +112,5 @@ mod tests {
     fn levinson_rejects_short_series() {
         assert!(levinson_durbin(&[1.0, 2.0], 5).is_none());
         assert!(levinson_durbin(&[1.0, 2.0, 3.0], 0).is_none());
-    }
-
-    #[test]
-    fn pacf_cuts_off_at_ar_order() {
-        // An AR(1) process has PACF ~phi at lag 1 and ~0 afterwards.
-        let mut rng = Rng::seed_from_u64(9);
-        let mut xs = vec![0.0];
-        for _ in 0..30_000 {
-            let prev = *xs.last().expect("non-empty");
-            xs.push(0.6 * prev + rng.normal());
-        }
-        let pacf = partial_autocorrelations(&xs, 4);
-        assert_eq!(pacf.len(), 4);
-        assert!((pacf[0] - 0.6).abs() < 0.03, "lag1 {}", pacf[0]);
-        for (k, &p) in pacf.iter().enumerate().skip(1) {
-            assert!(p.abs() < 0.05, "lag{} {}", k + 1, p);
-        }
-    }
-
-    #[test]
-    fn pacf_degenerate_series_truncates() {
-        // Constant series: no lag is computable.
-        assert!(partial_autocorrelations(&[1.0; 40], 3).is_empty());
-        // Two points support only lag 1; the rest are dropped.
-        let short = partial_autocorrelations(&[1.0, 2.0], 5);
-        assert!(short.len() <= 1, "got {} lags", short.len());
-    }
-
-    #[test]
-    fn ljung_box_separates_noise_from_signal() {
-        let mut rng = Rng::seed_from_u64(3);
-        let noise: Vec<f64> = (0..1_000).map(|_| rng.normal()).collect();
-        let periodic: Vec<f64> =
-            (0..1_000).map(|i| (i as f64 * 0.5).sin()).collect();
-        let q_noise = ljung_box(&noise, 10);
-        let q_periodic = ljung_box(&periodic, 10);
-        // chi2(10) 95th percentile is ~18.3.
-        assert!(q_noise < 25.0, "q_noise {q_noise}");
-        assert!(q_periodic > 100.0, "q_periodic {q_periodic}");
     }
 }

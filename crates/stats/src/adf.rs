@@ -11,7 +11,7 @@
 //! The test statistic is the t-ratio of `gamma`; large negative values
 //! reject the unit-root null, i.e. indicate stationarity.
 
-use crate::matrix::{ols_with_errors, Matrix, NormalEquations};
+use crate::matrix::NormalEquations;
 
 /// Result of an Augmented Dickey-Fuller test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,95 +24,7 @@ pub struct AdfResult {
     pub n_obs: usize,
 }
 
-impl AdfResult {
-    /// Returns `true` if the unit-root null is rejected at the given
-    /// significance level, i.e. the series is deemed stationary.
-    pub fn is_stationary(&self, level: Significance) -> bool {
-        self.statistic < level.critical_value()
-    }
-}
-
-/// Significance levels with MacKinnon asymptotic critical values for the
-/// constant-only ADF regression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Significance {
-    /// 1 % level (critical value -3.43).
-    One,
-    /// 5 % level (critical value -2.86).
-    Five,
-    /// 10 % level (critical value -2.57).
-    Ten,
-}
-
-impl Significance {
-    /// Returns the asymptotic critical value for this level.
-    pub fn critical_value(self) -> f64 {
-        match self {
-            Significance::One => -3.43,
-            Significance::Five => -2.86,
-            Significance::Ten => -2.57,
-        }
-    }
-}
-
-/// Runs the ADF test with a fixed number of augmenting lags.
-///
-/// Returns `None` when the series is too short or degenerate (constant),
-/// in which case callers should treat the block as trivially stationary:
-/// constant traffic is perfectly predictable.
-pub fn adf_test(xs: &[f64], lags: usize) -> Option<AdfResult> {
-    let n = xs.len();
-    // Need y_{t-1}, `lags` lagged differences, and spare dof.
-    if n < lags + 10 {
-        return None;
-    }
-    let diffs: Vec<f64> = xs.windows(2).map(|w| w[1] - w[0]).collect();
-    // Regression sample: t runs over diffs indices [lags, diffs.len()).
-    let rows = diffs.len() - lags;
-    let cols = 2 + lags; // constant, y_{t-1}, lagged diffs
-    if rows <= cols {
-        return None;
-    }
-    let mut design = Matrix::zeros(rows, cols);
-    let mut target = Vec::with_capacity(rows);
-    for (r, t) in (lags..diffs.len()).enumerate() {
-        design[(r, 0)] = 1.0;
-        design[(r, 1)] = xs[t]; // y_{t-1} relative to dy_t = y_{t+1}-y_t
-        for i in 0..lags {
-            design[(r, 2 + i)] = diffs[t - 1 - i];
-        }
-        target.push(diffs[t]);
-    }
-    let fit = ols_with_errors(&design, &target)?;
-    let se = fit.std_errors[1];
-    if se <= 1e-12 {
-        // Perfect fit: differences fully explained; treat as strongly
-        // stationary by convention with a large negative statistic.
-        return Some(AdfResult {
-            statistic: -100.0,
-            lags,
-            n_obs: rows,
-        });
-    }
-    Some(AdfResult {
-        statistic: fit.beta[1] / se,
-        lags,
-        n_obs: rows,
-    })
-}
-
-/// Runs the ADF test with automatic lag selection via the Schwert rule
-/// `p_max = floor(12 * (n / 100)^{1/4})`, capped for short blocks.
-pub fn adf_test_auto(xs: &[f64]) -> Option<AdfResult> {
-    femux_obs::counter_add("stats.adf.tests", 1);
-    let n = xs.len();
-    if n < 16 {
-        return None;
-    }
-    adf_test(xs, schwert_lags(n))
-}
-
-/// The Schwert lag rule used by [`adf_test_auto`] for a series of
+/// The Schwert lag rule [`AdfAccumulator::auto`] uses for a series of
 /// length `n`: `floor(12 * (n / 100)^{1/4})`, capped at `n / 8` and
 /// floored at 1.
 pub fn schwert_lags(n: usize) -> usize {
@@ -120,22 +32,23 @@ pub fn schwert_lags(n: usize) -> usize {
     schwert.min(n / 8).max(1)
 }
 
-/// Streaming ADF accumulator: ingests one sample at a time and, once the
-/// window is complete, reproduces [`adf_test`] **bit-for-bit**.
+/// The ADF test as a streaming accumulator: it ingests one sample at a
+/// time and runs the regression once the window is complete.
 ///
 /// The regression row for difference index `t` (`[1, y_t, dy_{t-1}, …,
 /// dy_{t-lags}]`, target `dy_t`) becomes available exactly when sample
 /// `t + 1` arrives, so rows are folded into [`NormalEquations`] in
-/// arrival order — the same order, through the same fold, as the batch
-/// test's [`ols_with_errors`]. [`AdfAccumulator::finalize`] then
-/// performs the identical factorization / ridge / solve / residual /
-/// standard-error sequence, so every floating-point operation it makes
-/// happens on the same operands in the same order as the batch path.
+/// arrival order, and [`AdfAccumulator::finalize`] leaves only an
+/// O(rows × cols) residual pass plus the (cols³) solve. Block feature
+/// extraction, offline and online, computes the stationarity feature
+/// this way, so no O(block × lags²) design matrix is built at a block
+/// boundary.
 ///
-/// This is what lets the online serving harness maintain the
-/// stationarity feature incrementally per sample instead of
-/// re-extracting O(block × lags²) work at every block boundary, while
-/// the parity gate holds exactly.
+/// The unit tests keep the design-matrix formulation (build `X`, fold
+/// its rows in order, factor, solve, take residuals and the standard
+/// error of `gamma`) as a reference, and the accumulator reproduces it
+/// bit for bit: every floating-point operation happens on the same
+/// operands in the same order.
 #[derive(Debug, Clone)]
 pub struct AdfAccumulator {
     lags: usize,
@@ -162,9 +75,9 @@ impl AdfAccumulator {
         }
     }
 
-    /// Creates an accumulator matching [`adf_test_auto`]'s lag choice
-    /// for a window of length `n`; `None` when the window is too short
-    /// for the automatic test (`n < 16`).
+    /// Creates an accumulator with [`schwert_lags`] for a window of
+    /// length `n`; `None` when the window is too short for the test
+    /// (`n < 16`), which block features read as strongly stationary.
     pub fn auto(n: usize) -> Option<Self> {
         if n < 16 {
             return None;
@@ -199,7 +112,7 @@ impl AdfAccumulator {
     /// (if any) into the normal equations.
     pub fn push(&mut self, x: f64) {
         if self.n_seen >= 1 {
-            // Same subtraction as the batch `windows(2)` pass.
+            // Same subtraction as the reference's `windows(2)` pass.
             let t = self.diffs.len();
             let d = x - self.prev;
             self.diffs.push(d);
@@ -219,12 +132,13 @@ impl AdfAccumulator {
     }
 
     /// Completes the test over the accumulated window. `xs` must be the
-    /// exact sample sequence pushed since the last reset (the serving
-    /// harness keeps it in the block ring anyway); it is only read for
-    /// the single O(rows × cols) residual pass.
+    /// exact sample sequence pushed since the last reset (the feature
+    /// extractor keeps it in its block buffer anyway); it is only read
+    /// for the single O(rows × cols) residual pass.
     ///
-    /// Returns exactly what `adf_test(xs, self.lags())` returns, to the
-    /// bit.
+    /// Returns `None` when the window is too short for the lag count or
+    /// leaves no spare degrees of freedom, or when the ridged normal
+    /// equations are still singular.
     pub fn finalize(&self, xs: &[f64]) -> Option<AdfResult> {
         debug_assert_eq!(
             xs.len(),
@@ -241,9 +155,9 @@ impl AdfAccumulator {
             return None;
         }
         let (beta, lu) = self.system.solve_keeping_factors()?;
-        // ols_with_errors(): one residual pass regenerating each design
-        // row; the per-row dot product and the RSS fold replicate
-        // matvec()'s zip/map/sum and the batch in-order accumulation.
+        // One residual pass regenerating each design row; the per-row
+        // dot product is a zip/map/sum and the RSS folds in row order,
+        // as the reference's `matvec` and residual sum do.
         let mut row = vec![0.0; cols];
         let mut rss = 0.0f64;
         for r in 0..rows {
@@ -261,11 +175,13 @@ impl AdfAccumulator {
         let dof = rows - cols;
         let sigma2 = rss / dof as f64;
         // The standard error of coefficient 1, the only one the test
-        // reads; the batch path computes the others from the same
+        // reads; the reference computes the others from the same
         // factorization, which cannot fail once `beta` is solved.
         let var = sigma2 * lu.inverse_diagonal(1);
         let se1 = if var > 0.0 { var.sqrt() } else { 0.0 };
         if se1 <= 1e-12 {
+            // Perfect fit: differences fully explained; treat as strongly
+            // stationary by convention with a large negative statistic.
             return Some(AdfResult {
                 statistic: -100.0,
                 lags: self.lags,
@@ -283,7 +199,67 @@ impl AdfAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::{ols_with_errors, Matrix};
     use crate::rng::Rng;
+
+    /// MacKinnon's asymptotic critical values for the constant-only
+    /// regression, at 1 %, 5 % and 10 %.
+    const CRITICAL_1: f64 = -3.43;
+    const CRITICAL_5: f64 = -2.86;
+    const CRITICAL_10: f64 = -2.57;
+
+    /// The design-matrix ADF that [`AdfAccumulator`] replaced, kept as
+    /// its bit-identity reference: it builds the whole regression and
+    /// fits it with `ols_with_errors`.
+    fn adf_test(xs: &[f64], lags: usize) -> Option<AdfResult> {
+        let n = xs.len();
+        // Need y_{t-1}, `lags` lagged differences, and spare dof.
+        if n < lags + 10 {
+            return None;
+        }
+        let diffs: Vec<f64> = xs.windows(2).map(|w| w[1] - w[0]).collect();
+        // Regression sample: t runs over diffs indices [lags, diffs.len()).
+        let rows = diffs.len() - lags;
+        let cols = 2 + lags; // constant, y_{t-1}, lagged diffs
+        if rows <= cols {
+            return None;
+        }
+        let mut design = Matrix::zeros(rows, cols);
+        let mut target = Vec::with_capacity(rows);
+        for (r, t) in (lags..diffs.len()).enumerate() {
+            design[(r, 0)] = 1.0;
+            design[(r, 1)] = xs[t]; // y_{t-1} relative to dy_t = y_{t+1}-y_t
+            for i in 0..lags {
+                design[(r, 2 + i)] = diffs[t - 1 - i];
+            }
+            target.push(diffs[t]);
+        }
+        let fit = ols_with_errors(&design, &target)?;
+        let se = fit.std_errors[1];
+        if se <= 1e-12 {
+            // Perfect fit: differences fully explained; treat as strongly
+            // stationary by convention with a large negative statistic.
+            return Some(AdfResult {
+                statistic: -100.0,
+                lags,
+                n_obs: rows,
+            });
+        }
+        Some(AdfResult {
+            statistic: fit.beta[1] / se,
+            lags,
+            n_obs: rows,
+        })
+    }
+
+    /// The library's ADF over a whole series.
+    fn adf(xs: &[f64], lags: usize) -> Option<AdfResult> {
+        let mut acc = AdfAccumulator::new(lags);
+        for &x in xs {
+            acc.push(x);
+        }
+        acc.finalize(xs)
+    }
 
     fn white_noise(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = Rng::seed_from_u64(seed);
@@ -304,23 +280,15 @@ mod tests {
     #[test]
     fn white_noise_is_stationary() {
         let xs = white_noise(500, 1);
-        let res = adf_test(&xs, 2).unwrap();
-        assert!(
-            res.is_stationary(Significance::One),
-            "statistic {}",
-            res.statistic
-        );
+        let res = adf(&xs, 2).unwrap();
+        assert!(res.statistic < CRITICAL_1, "statistic {}", res.statistic);
     }
 
     #[test]
     fn random_walk_is_not_stationary() {
         let xs = random_walk(500, 2);
-        let res = adf_test(&xs, 2).unwrap();
-        assert!(
-            !res.is_stationary(Significance::Ten),
-            "statistic {}",
-            res.statistic
-        );
+        let res = adf(&xs, 2).unwrap();
+        assert!(res.statistic >= CRITICAL_10, "statistic {}", res.statistic);
     }
 
     #[test]
@@ -331,12 +299,8 @@ mod tests {
             let prev = *xs.last().expect("non-empty");
             xs.push(0.6 * prev + rng.normal());
         }
-        let res = adf_test_auto(&xs).unwrap();
-        assert!(
-            res.is_stationary(Significance::Five),
-            "statistic {}",
-            res.statistic
-        );
+        let res = adf(&xs, schwert_lags(xs.len())).unwrap();
+        assert!(res.statistic < CRITICAL_5, "statistic {}", res.statistic);
     }
 
     #[test]
@@ -348,18 +312,8 @@ mod tests {
             let prev = *xs.last().expect("non-empty");
             xs.push(0.999 * prev + rng.normal());
         }
-        let res = adf_test(&xs, 2).unwrap();
-        assert!(
-            !res.is_stationary(Significance::One),
-            "statistic {}",
-            res.statistic
-        );
-    }
-
-    #[test]
-    fn short_series_returns_none() {
-        assert!(adf_test(&[1.0, 2.0, 3.0], 1).is_none());
-        assert!(adf_test_auto(&white_noise(10, 5)).is_none());
+        let res = adf(&xs, 2).unwrap();
+        assert!(res.statistic >= CRITICAL_1, "statistic {}", res.statistic);
     }
 
     #[test]
@@ -367,47 +321,35 @@ mod tests {
         let xs = vec![2.0; 100];
         // All differences are zero; OLS hits the ridge path and the
         // perfect-fit branch yields a strongly stationary verdict.
-        if let Some(res) = adf_test(&xs, 1) {
-            assert!(res.is_stationary(Significance::One));
+        if let Some(res) = adf(&xs, 1) {
+            assert!(res.statistic < CRITICAL_1);
         }
-    }
-
-    #[test]
-    fn critical_values_ordered() {
-        assert!(
-            Significance::One.critical_value()
-                < Significance::Five.critical_value()
-        );
-        assert!(
-            Significance::Five.critical_value()
-                < Significance::Ten.critical_value()
-        );
     }
 
     #[test]
     fn auto_lag_counts_observations() {
         let xs = white_noise(504, 6);
-        let res = adf_test_auto(&xs).unwrap();
+        let mut acc = AdfAccumulator::auto(xs.len()).expect("long enough");
+        for &x in &xs {
+            acc.push(x);
+        }
+        let res = acc.finalize(&xs).unwrap();
         assert!(res.lags >= 1);
         assert!(res.n_obs > 400);
     }
 
     /// Bit-for-bit equality between the streaming accumulator and the
-    /// batch test — the serving harness's parity contract.
-    fn assert_streaming_parity(xs: &[f64], lags: usize) {
-        let mut acc = AdfAccumulator::new(lags);
-        for &x in xs {
-            acc.push(x);
-        }
+    /// design-matrix reference.
+    fn assert_streaming_parity(xs: &[f64], lags: usize, label: &str) {
         let batch = adf_test(xs, lags);
-        let inc = acc.finalize(xs);
+        let inc = adf(xs, lags);
         match (batch, inc) {
             (None, None) => {}
             (Some(b), Some(i)) => {
                 assert_eq!(
                     b.statistic.to_bits(),
                     i.statistic.to_bits(),
-                    "lags {lags} n {}: batch {} vs incremental {}",
+                    "{label}, lags {lags} n {}: batch {} vs incremental {}",
                     xs.len(),
                     b.statistic,
                     i.statistic
@@ -416,10 +358,50 @@ mod tests {
                 assert_eq!(b.n_obs, i.n_obs);
             }
             (b, i) => panic!(
-                "presence mismatch at lags {lags}: batch {b:?} vs \
+                "{label}: presence mismatch at lags {lags}: batch {b:?} vs \
                  incremental {i:?}"
             ),
         }
+    }
+
+    /// Seven traffic shapes, 1,512 samples each: a sine, half-normal
+    /// noise, a floored random walk, a constant, all zeros, rare huge
+    /// spikes and alternating 1e-12/1e12.
+    fn block_shapes() -> Vec<(&'static str, Vec<f64>)> {
+        let periodic = (0..1_512)
+            .map(|t| {
+                2.0 + (2.0 * std::f64::consts::PI * t as f64 / 60.0).sin()
+            })
+            .collect();
+        let mut rng = Rng::seed_from_u64(1);
+        let noise = (0..1_512).map(|_| rng.normal().abs()).collect();
+        let mut rng = Rng::seed_from_u64(3);
+        let mut acc = 50.0;
+        let walk = (0..1_512)
+            .map(|_| {
+                acc += rng.normal();
+                acc.max(0.0)
+            })
+            .collect();
+        vec![
+            ("periodic", periodic),
+            ("noise", noise),
+            ("random-walk", walk),
+            ("constant", vec![3.0; 1_512]),
+            ("all-zero", vec![0.0; 1_512]),
+            (
+                "spiky",
+                (0..1_512)
+                    .map(|t| if t % 37 == 0 { 1e5 } else { 0.01 })
+                    .collect(),
+            ),
+            (
+                "tiny-huge",
+                (0..1_512)
+                    .map(|t| if t % 2 == 0 { 1e-12 } else { 1e12 })
+                    .collect(),
+            ),
+        ]
     }
 
     #[test]
@@ -442,9 +424,23 @@ mod tests {
                 .map(|t| if t % 17 == 0 { 1e6 } else { 0.1 })
                 .collect(),
         ];
-        for xs in &signals {
+        for (s, xs) in signals.iter().enumerate() {
             for lags in [1, 2, schwert_lags(xs.len())] {
-                assert_streaming_parity(xs, lags);
+                assert_streaming_parity(xs, lags, &format!("signal {s}"));
+            }
+        }
+        // Every block the feature extractor cuts from each shape, at
+        // the test and the paper block lengths, with the extractor's
+        // lag count.
+        for (shape, series) in &block_shapes() {
+            for block_len in [120usize, 504] {
+                for (b, block) in series.chunks_exact(block_len).enumerate() {
+                    assert_streaming_parity(
+                        block,
+                        schwert_lags(block_len),
+                        &format!("{shape}/{block_len} block {b}"),
+                    );
+                }
             }
         }
     }

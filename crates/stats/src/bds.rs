@@ -41,14 +41,6 @@ pub struct BdsResult {
     pub epsilon: f64,
 }
 
-impl BdsResult {
-    /// Returns `true` if the iid null is rejected at roughly the 5 % level,
-    /// i.e. the series exhibits (possibly nonlinear) dependence.
-    pub fn is_dependent(&self) -> bool {
-        self.statistic.abs() > 1.96
-    }
-}
-
 /// `C_1`, `C_m` and `K` of one series at one radius.
 struct PairStats {
     c1: f64,
@@ -202,6 +194,10 @@ mod tests {
     use super::*;
     use crate::rng::Rng;
 
+    /// The two-sided 5 % critical value of the statistic's asymptotic
+    /// N(0,1) law: a larger |statistic| rejects the iid null.
+    const CRITICAL_5: f64 = 1.96;
+
     #[test]
     fn iid_noise_not_dependent() {
         let mut rng = Rng::seed_from_u64(1);
@@ -225,7 +221,11 @@ mod tests {
             })
             .collect();
         let res = bds_test(&xs, 2, 1.0).unwrap();
-        assert!(res.is_dependent(), "statistic {}", res.statistic);
+        assert!(
+            res.statistic.abs() > CRITICAL_5,
+            "statistic {}",
+            res.statistic
+        );
         assert!(res.statistic.abs() > 5.0);
     }
 
@@ -238,7 +238,11 @@ mod tests {
             xs.push(0.8 * prev + rng.normal());
         }
         let raw = bds_test(&xs, 2, 1.0).unwrap();
-        assert!(raw.is_dependent(), "raw statistic {}", raw.statistic);
+        assert!(
+            raw.statistic.abs() > CRITICAL_5,
+            "raw statistic {}",
+            raw.statistic
+        );
         let resid = bds_on_ar_residuals(&xs, 5, 2, 1.0).unwrap();
         assert!(
             resid.statistic.abs() < raw.statistic.abs(),
@@ -261,7 +265,7 @@ mod tests {
         }
         let resid = bds_on_ar_residuals(&xs, 5, 2, 1.0).unwrap();
         assert!(
-            resid.is_dependent(),
+            resid.statistic.abs() > CRITICAL_5,
             "residual statistic {}",
             resid.statistic
         );

@@ -8,13 +8,14 @@
 //!   (normal, Poisson, Pareto, Zipf) used by the trace synthesizers.
 //! - [`fft`]: radix-2 and Bluestein FFTs, harmonic extraction, and
 //!   harmonic extrapolation (the FFT forecaster's engine).
-//! - [`matrix`]: dense linear algebra (LU, Cholesky, OLS) for the AR/SETAR
-//!   fits and the ADF regression.
+//! - [`matrix`]: dense linear algebra (normal equations, LU, OLS) for
+//!   the SETAR fits and the ADF regression.
 //! - [`desc`]: descriptive statistics — quantiles, ECDFs, histograms,
 //!   coefficient of variation — used across the characterization figures.
-//! - [`acf`]: autocovariance, Levinson-Durbin (Yule-Walker solver), and
-//!   Ljung-Box.
-//! - [`adf`]: Augmented Dickey-Fuller stationarity test (block feature).
+//! - [`acf`]: autocovariance and Levinson-Durbin (Yule-Walker solver)
+//!   for the AR fits.
+//! - [`adf`]: Augmented Dickey-Fuller stationarity test (block
+//!   feature), as a streaming accumulator.
 //! - [`bds`]: Broock-Dechert-Scheinkman independence test (block
 //!   linearity feature).
 

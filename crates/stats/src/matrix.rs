@@ -1,8 +1,8 @@
 //! Dense linear algebra for small systems.
 //!
-//! The forecasters (AR, SETAR, Holt initialization) and statistical tests
-//! (ADF regressions) only ever solve systems with tens of unknowns, so a
-//! simple row-major dense matrix with LU and Cholesky factorizations is all
+//! The SETAR forecaster and the ADF test only ever solve systems with
+//! tens of unknowns, so a simple row-major dense matrix, normal
+//! equations folded one row at a time, and an LU factorization are all
 //! the workspace needs. Everything is allocation-explicit and panics on
 //! dimension mismatches, which are programming errors rather than data
 //! errors; genuinely data-dependent failures (singular systems) return
@@ -24,15 +24,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// Creates an identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
     }
 
     /// Creates a matrix from a row-major data vector.
@@ -76,57 +67,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Returns the transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
-            }
-        }
-        out
-    }
-
-    /// Computes the matrix product `self * rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
-    /// Computes the matrix-vector product `self * v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "vector length must equal cols");
-        (0..self.rows)
-            .map(|i| {
-                self.row(i)
-                    .iter()
-                    .zip(v)
-                    .map(|(a, b)| a * b)
-                    .sum::<f64>()
-            })
-            .collect()
-    }
-
     /// Solves `self * x = b` via LU decomposition with partial pivoting.
     ///
     /// Returns `None` if the matrix is singular (to working precision).
@@ -138,36 +78,6 @@ impl Matrix {
         assert_eq!(self.rows, self.cols, "solve requires a square matrix");
         assert_eq!(b.len(), self.rows, "rhs length mismatch");
         Some(Lu::new(self)?.solve(b))
-    }
-
-    /// Computes the Cholesky factor `L` (lower triangular, `self = L L^T`).
-    ///
-    /// Returns `None` if the matrix is not positive definite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn cholesky(&self) -> Option<Matrix> {
-        assert_eq!(self.rows, self.cols, "cholesky requires square matrix");
-        let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return None;
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
-        Some(l)
     }
 }
 
@@ -187,10 +97,9 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 /// The normal equations `X^T X beta = X^T y`, accumulated one design row
 /// at a time.
 ///
-/// This is the one fold behind [`ols`], [`ols_with_errors`], the
-/// streaming ADF accumulator and the SETAR regime fits, so every least
-/// squares fit in the workspace does the same floating-point operations
-/// in the same order:
+/// This is the one fold behind [`ols`], the streaming ADF accumulator
+/// and the SETAR regime fits, so every least squares fit in the
+/// workspace does the same floating-point operations in the same order:
 ///
 /// - `X^T X` starts at `0.0`; each row adds `a * row[j]` to the upper
 ///   triangle (`j >= i`) for every entry `a = row[i]` that is not zero
@@ -408,10 +317,11 @@ pub fn ols(x: &Matrix, y: &[f64]) -> Option<Vec<f64>> {
     normal_equations(x, y).solve()
 }
 
-/// Result of an OLS fit with residual diagnostics, as needed by the ADF
-/// test's t-statistic.
+/// Result of an OLS fit with residual diagnostics: what the
+/// design-matrix ADF reference reads its t-statistic from.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct OlsFit {
+pub(crate) struct OlsFit {
     /// Estimated coefficients.
     pub beta: Vec<f64>,
     /// Standard error of each coefficient.
@@ -422,11 +332,14 @@ pub struct OlsFit {
     pub dof: usize,
 }
 
-/// Performs OLS and computes coefficient standard errors.
+/// Performs OLS and computes coefficient standard errors. Test builds
+/// keep it as the fit of the design-matrix ADF, the reference that
+/// [`crate::adf::AdfAccumulator`] reproduces bit for bit.
 ///
 /// Returns `None` if the design is singular or there are no spare degrees
 /// of freedom.
-pub fn ols_with_errors(x: &Matrix, y: &[f64]) -> Option<OlsFit> {
+#[cfg(test)]
+pub(crate) fn ols_with_errors(x: &Matrix, y: &[f64]) -> Option<OlsFit> {
     let n = x.rows();
     let p = x.cols();
     if n <= p {
@@ -460,16 +373,42 @@ pub fn ols_with_errors(x: &Matrix, y: &[f64]) -> Option<OlsFit> {
     })
 }
 
+/// The products only the test references use.
+#[cfg(test)]
+impl Matrix {
+    /// Returns the transpose.
+    pub(crate) fn transpose(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        for i in 0..self.rows {
+            for j in 0..self.cols {
+                out[(j, i)] = self[(i, j)];
+            }
+        }
+        out
+    }
+
+    /// Computes the matrix-vector product `self * v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != self.cols()`.
+    pub(crate) fn matvec(&self, v: &[f64]) -> Vec<f64> {
+        assert_eq!(v.len(), self.cols, "vector length must equal cols");
+        (0..self.rows)
+            .map(|i| {
+                self.row(i)
+                    .iter()
+                    .zip(v)
+                    .map(|(a, b)| a * b)
+                    .sum::<f64>()
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn identity_solve() {
-        let m = Matrix::identity(4);
-        let b = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(m.solve(&b).unwrap(), b.to_vec());
-    }
 
     #[test]
     fn known_system() {
@@ -494,16 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_and_transpose() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
-        let at = a.transpose();
-        assert_eq!(at, Matrix::from_rows(&[&[1.0, 3.0], &[2.0, 4.0]]));
-    }
-
-    #[test]
     fn normal_equations_match_explicit_products() {
         let a = Matrix::from_rows(&[
             &[1.0, 2.0, 0.5],
@@ -514,10 +443,11 @@ mod tests {
         let y = [1.0, -2.0, 0.5, 3.0];
         let system = normal_equations(&a, &y);
         let gram = system.gram_matrix();
-        let explicit = a.transpose().matmul(&a);
         for i in 0..3 {
             for j in 0..3 {
-                assert!((gram[(i, j)] - explicit[(i, j)]).abs() < 1e-12);
+                let explicit: f64 =
+                    (0..a.rows()).map(|r| a[(r, i)] * a[(r, j)]).sum();
+                assert!((gram[(i, j)] - explicit).abs() < 1e-12);
             }
         }
         assert_eq!(system.rhs, a.transpose().matvec(&y));
@@ -744,28 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_of_spd() {
-        let m = Matrix::from_rows(&[
-            &[4.0, 2.0, 0.0],
-            &[2.0, 5.0, 1.0],
-            &[0.0, 1.0, 3.0],
-        ]);
-        let l = m.cholesky().unwrap();
-        let back = l.matmul(&l.transpose());
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((back[(i, j)] - m[(i, j)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
-        assert!(m.cholesky().is_none());
-    }
-
-    #[test]
     fn ols_recovers_exact_line() {
         // y = 3 + 2x.
         let xs: Vec<f64> = (0..20).map(|i| i as f64).collect();
@@ -811,13 +719,5 @@ mod tests {
         assert!(fit.std_errors[1] < 1e-6);
         assert!(fit.rss < 1e-12);
         assert_eq!(fit.dof, 28);
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimensions")]
-    fn matmul_dimension_mismatch_panics() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
     }
 }

@@ -66,6 +66,14 @@ impl AppConfig {
     pub fn mem_gb(&self) -> f64 {
         self.mem_mb as f64 / 1024.0
     }
+
+    /// The per-pod concurrency limit that pod counts are derived from:
+    /// `concurrency`, or 1 when it is 0. The trace loaders reject 0, but
+    /// a record built in code can carry it, and dividing by it would
+    /// ask for unbounded pods.
+    pub fn pod_concurrency(&self) -> u32 {
+        self.concurrency.max(1)
+    }
 }
 
 /// A single invocation record.

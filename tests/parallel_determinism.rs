@@ -17,16 +17,14 @@ use femux_stats::rng::Rng;
 /// Serializes the bits of a model that training determines, skipping
 /// wall-clock diagnostics (which legitimately differ run to run).
 fn fingerprint(model: &FemuxModel) -> String {
-    let classifier = match &model.classifier {
-        Classifier::KMeans {
-            kmeans,
-            cluster_forecasters,
-        } => format!(
-            "kmeans centroids={:?} inertia={} clusters={:?}",
-            kmeans.centroids, kmeans.inertia, cluster_forecasters
-        ),
-        other => format!("{other:?}"),
-    };
+    let Classifier::KMeans {
+        kmeans,
+        cluster_forecasters,
+    } = &model.classifier;
+    let classifier = format!(
+        "kmeans centroids={:?} inertia={} clusters={:?}",
+        kmeans.centroids, kmeans.inertia, cluster_forecasters
+    );
     format!(
         "default={:?} scaler={:?} classifier={classifier} \
          totals={:?} n_blocks={} n_apps={}",
@@ -105,34 +103,29 @@ fn train_is_identical_across_thread_counts() {
     }
 }
 
-/// Property-style sweep: many small pseudo-random fleets, every
-/// classifier backend, parallel == sequential each time.
+/// Property-style sweep: small pseudo-random fleets, parallel ==
+/// sequential each time.
 #[test]
 fn property_parallel_train_matches_sequential() {
     let mut rng = Rng::seed_from_u64(0x9A11E7);
-    for case in 0..6 {
+    for case in 0..2 {
         let n_apps = 4 + rng.index(8);
         let len = 360 + 120 * rng.index(3);
         let apps = arb_fleet(&mut rng, n_apps, len);
         let cfg = test_cfg();
-        let kind = match case % 3 {
-            0 => ClassifierKind::KMeans,
-            1 => ClassifierKind::Tree,
-            _ => ClassifierKind::Forest,
-        };
         let seq = {
             let _one = femux_par::override_threads(1);
-            train(&apps, &cfg, kind)
+            train(&apps, &cfg, ClassifierKind::KMeans)
         };
         let par = {
             let _many = femux_par::override_threads(4);
-            train(&apps, &cfg, kind)
+            train(&apps, &cfg, ClassifierKind::KMeans)
         };
         match (seq, par) {
             (Some(s), Some(p)) => assert_eq!(
                 fingerprint(&s),
                 fingerprint(&p),
-                "case {case} ({kind:?}) diverged"
+                "case {case} diverged"
             ),
             (None, None) => {}
             (s, p) => panic!(

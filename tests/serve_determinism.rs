@@ -5,13 +5,12 @@
 //! 1. **Shard invariance**: same trace + model + seed ⇒ byte-identical
 //!    decisions, outcomes, and metrics at 1 vs 8 shards (with and
 //!    without an injected fault plan).
-//! 2. **Incremental ≡ batch**: the streaming feature extractor that
-//!    routes every `AppManager` block matches the batch extractor that
-//!    builds the training set, to exact f64 equality at every block
-//!    boundary, across both synthetic fleets (IBM-like and Azure-like)
-//!    under the reduced test config and the paper's deployed config.
-//!    This parity is the only link between routing and training
-//!    features.
+//! 2. **Extractor reset**: one long-lived feature extractor, as every
+//!    `AppManager` runs, emits at every block boundary the exact f64
+//!    row, idle bit and sequence number that a fresh extractor gives on
+//!    that block alone (what training extracts), across both synthetic
+//!    fleets (IBM-like and Azure-like) under the reduced test config
+//!    and the paper's deployed config.
 //! 3. **Strict ingest**: clamped out-of-order traces serve
 //!    deterministically too, and the clamp count is surfaced.
 //!
@@ -23,7 +22,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use femux::config::FemuxConfig;
 use femux::model::{train, ClassifierKind, FemuxModel, TrainApp};
-use femux_features::{extract, is_idle, Block, IncrementalExtractor};
+use femux_features::{extract, Block, IncrementalExtractor};
 use femux_serve::harness::{run, ServeConfig};
 use femux_trace::ingest::MonotonePolicy;
 use femux_trace::repr::concurrency_per_minute;
@@ -64,7 +63,7 @@ fn model() -> Arc<FemuxModel> {
                     ),
                     exec_secs: 0.5,
                     mem_gb: 0.5,
-                    pod_concurrency: app.config.concurrency.max(1),
+                    pod_concurrency: app.config.pod_concurrency(),
                 })
                 .collect();
             Arc::new(
@@ -141,9 +140,9 @@ fn fault_injected_serving_is_shard_invariant() {
     );
 }
 
-/// Pushes a series through the incremental extractor and asserts exact
-/// f64 equality with the batch extractor at every block boundary.
-fn assert_parity(
+/// Pushes a series through one extractor and asserts, at every block
+/// boundary, exact f64 equality with a fresh extractor on that block.
+fn assert_reset_matches_fresh(
     cfg: &FemuxConfig,
     series: &[f64],
     exec_secs: f64,
@@ -159,24 +158,26 @@ fn assert_parity(
         if let Some(out) = inc.push(v) {
             let block = Block {
                 app_index: 0,
-                seq: out.seq,
+                seq: boundaries,
                 series: series[t + 1 - cfg.block_len..t + 1].to_vec(),
                 exec_secs,
             };
-            let batch = extract(&block, &cfg.features);
-            for (k, (b, i)) in
-                batch.iter().zip(&out.features).enumerate()
+            let fresh = extract(&block, &cfg.features);
+            assert_eq!(out.seq, fresh.seq, "{label}: sequence number");
+            assert_eq!(out.features.len(), fresh.features.len());
+            for (k, (f, o)) in
+                fresh.features.iter().zip(&out.features).enumerate()
             {
                 assert_eq!(
-                    b.to_bits(),
-                    i.to_bits(),
+                    f.to_bits(),
+                    o.to_bits(),
                     "{label}: feature {:?} diverged at block {}: \
-                     batch {b} vs incremental {i}",
+                     fresh {f} vs long-lived {o}",
                     cfg.features[k],
                     out.seq
                 );
             }
-            assert_eq!(out.idle, is_idle(&block), "{label}: idle bit");
+            assert_eq!(out.idle, fresh.idle, "{label}: idle bit");
             boundaries += 1;
         }
     }
@@ -212,9 +213,9 @@ fn azure_series(seed: u64, apps: usize) -> Vec<(Vec<f64>, f64)> {
         .collect()
 }
 
-/// Sweeps [`assert_parity`] over `apps`, each cut to at most `blocks`
-/// blocks and required to span at least two.
-fn sweep_parity(
+/// Sweeps [`assert_reset_matches_fresh`] over `apps`, each cut to at
+/// most `blocks` blocks and required to span at least two.
+fn sweep_reset(
     cfg: &FemuxConfig,
     apps: &[(Vec<f64>, f64)],
     blocks: usize,
@@ -225,32 +226,32 @@ fn sweep_parity(
         let len = series.len().min(blocks.saturating_mul(cfg.block_len));
         let label = format!("{fleet} app {i}, block {}", cfg.block_len);
         assert!(len >= 2 * cfg.block_len, "{label}: under two blocks");
-        assert_parity(cfg, &series[..len], *exec_secs, &label);
+        assert_reset_matches_fresh(cfg, &series[..len], *exec_secs, &label);
     }
 }
 
 #[test]
-fn incremental_matches_batch_over_ibm_fleet() {
+fn one_extractor_matches_fresh_ones_over_ibm_fleet() {
     let _lock = lock();
     let cfg = FemuxConfig::for_tests();
-    sweep_parity(&cfg, &ibm_series(17, 20), usize::MAX, "ibm");
+    sweep_reset(&cfg, &ibm_series(17, 20), usize::MAX, "ibm");
 }
 
 #[test]
-fn incremental_matches_batch_over_azure_fleet() {
+fn one_extractor_matches_fresh_ones_over_azure_fleet() {
     let _lock = lock();
     let cfg = FemuxConfig::for_tests();
-    sweep_parity(&cfg, &azure_series(23, 20), usize::MAX, "azure");
+    sweep_reset(&cfg, &azure_series(23, 20), usize::MAX, "azure");
 }
 
 #[test]
-fn incremental_matches_batch_under_paper_config() {
+fn one_extractor_matches_fresh_ones_under_paper_config() {
     // 504-step blocks, the configuration behind the paper's numbers;
-    // three blocks per app keeps the batch side cheap.
+    // three blocks per app keeps the per-block extraction cheap.
     let _lock = lock();
     let cfg = FemuxConfig::default();
-    sweep_parity(&cfg, &ibm_series(17, 4), 3, "ibm");
-    sweep_parity(&cfg, &azure_series(23, 4), 3, "azure");
+    sweep_reset(&cfg, &ibm_series(17, 4), 3, "ibm");
+    sweep_reset(&cfg, &azure_series(23, 4), 3, "azure");
 }
 
 #[test]
