@@ -81,6 +81,13 @@ fn main() {
                     .next()
                     .and_then(|s| s.parse::<f64>().ok())
                     .expect("--fault-rate takes a probability");
+                // A NaN or out-of-range rate is no plan at all: refuse
+                // it here, naming the rule it breaks.
+                if let Err(why) = FaultConfig::uniform(FAULT_SEED, v).validate()
+                {
+                    eprintln!("--fault-rate {v}: {why}");
+                    std::process::exit(2);
+                }
                 rates = vec![v];
             }
             "--metrics-out" => {

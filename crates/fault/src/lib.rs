@@ -10,7 +10,7 @@
 //!
 //! # Fault taxonomy
 //!
-//! - **Pod crashes** ([`AppFaults::crash_pod`]): a pod dies and is
+//! - **Pod crashes** ([`AppFaults::crash_pods`]): a pod dies and is
 //!   rescheduled in place; it stays allocated but must redo its cold
 //!   start, so warm capacity drops until it is ready again.
 //! - **Cold-start stragglers** ([`AppFaults::straggle`]): a cold start
@@ -32,48 +32,157 @@
 //!   returns `NaN`/`∞` or panics outright ([`inject_panic`]), exercising
 //!   the manager's fallback ladder.
 //!
-//! # Determinism contract
+//! # Determinism contract: keyed schedules
 //!
-//! Each application draws from two private streams — one for engine
-//! faults, one for forecaster faults — derived from
-//! ([`FaultConfig::seed`], `AppId`) via [`femux_stats::rng::Rng`]. An
-//! app's fault sequence therefore depends only on the seed, its id, and
-//! its own (sequential) simulation, never on `FEMUX_THREADS`, other
-//! apps, or scheduling. Injection sites draw in a fixed order per tick
-//! (per-pod crash draws in pod order, then the report-loss draw, then
-//! the per-node crash draws in node order, then the actuation-fate draw
-//! after the policy decision; one straggler draw per cold start), which
-//! the sim engine documents and upholds. The node stream is keyed by
-//! node index rather than app id (see [`FaultConfig::node_faults`]) but
-//! each app run owns a private copy, so per-app independence holds.
+//! Every engine-side fault is a *keyed schedule*: the ticks at which a
+//! stream fires are a pure function of ([`FaultConfig::seed`], domain,
+//! key), never of the order in which the engine asks. The streams are
+//! one pod-crash stream per (app, pod uid), one report-loss and one
+//! actuation stream per app, one crash stream per cluster node
+//! (app-free, so every app run replays the same cluster-wide plan), and
+//! one straggler Bernoulli per (app, pod uid) reactive spawn.
 //!
-//! A plan with all rates zero draws but never triggers, so its runs are
+//! A stream over consecutive candidate ticks fires with probability
+//! `rate` at each one, drawn as geometric gaps: the gap before the k-th
+//! fire comes from a SplitMix64 mix of (seed, domain, key, k), the
+//! idiom of `femux_obs::span::SpanSampler`. The next fire of a stream
+//! is therefore known in O(1) per fire, which lets the simulator
+//! fast-forward idle stretches under a plan; a rate of 0 never fires,
+//! a rate of 1 fires at every candidate tick, and a gap too long for
+//! `u64` saturates (never fires). Ticks are 0-based candidate slots the
+//! caller numbers (the engine's first interval boundary is tick 0).
+//!
+//! The forecaster stream is the one sequential stream left: it draws
+//! once per forecast call, and its manager is one sequential unit.
+//!
+//! A plan with all rates zero never fires, so its runs are
 //! byte-identical to runs with no fault layer at all; `fault.*`
 //! telemetry is emitted only when an injection actually fires.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use femux_stats::rng::Rng;
 use femux_trace::types::AppId;
 
-/// Domain separator for the engine-fault stream.
-const ENGINE_DOMAIN: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Domain separator for the forecaster-fault stream.
 const FORECAST_DOMAIN: u64 = 0xC2B2_AE3D_27D4_EB4F;
-/// Domain separator for the per-node crash stream. Keyed by
-/// (`seed`, node index, this domain) — *not* by app — so every app run
-/// replays the same cluster-wide crash plan; and separated from the
-/// pod-level domains so enabling (or zero-rating) node crashes never
-/// shifts a single pod-level draw.
+/// Domain separator for the per-(app, pod) crash schedules.
+const POD_CRASH_DOMAIN: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Domain separator for the per-(app, pod) straggler draws.
+const STRAGGLER_DOMAIN: u64 = 0x85EB_CA77_C2B2_AE63;
+/// Domain separator for the per-app report-loss schedule.
+const REPORT_DOMAIN: u64 = 0x27D4_EB2F_1656_67C5;
+/// Domain separator for the per-app actuation schedule.
+const ACTUATION_DOMAIN: u64 = 0x1656_67B1_9E37_79F9;
+/// Domain separator for the per-node crash schedules, keyed by node
+/// index rather than app, so every app run replays the same
+/// cluster-wide crash plan.
 const NODE_DOMAIN: u64 = 0xD6E8_FEB8_6659_FD93;
+/// Salt of the actuation stream's drop-or-delay draw, so it is not the
+/// word its gap came from.
+const FLAVOR_SALT: u64 = 0xA076_1D64_78BD_642F;
+
+/// Tick of a schedule that never fires.
+pub const NEVER: u64 = u64::MAX;
+
+/// SplitMix64's finalizer over `a ^ b·φ`: a pure function of its
+/// inputs that avalanches every bit, so adjacent keys and ordinals give
+/// independent words.
+fn mix(a: u64, b: u64) -> u64 {
+    let mut x = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The uniform `f64` in `[0, 1)` carried by the top 53 bits of `bits`.
+fn unit(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// A per-candidate fire probability, ready to draw geometric gaps.
+#[derive(Debug, Clone, Copy)]
+struct Rate {
+    p: f64,
+    /// `ln(1 − p)`, the scale of every gap draw.
+    ln_q: f64,
+}
+
+impl Rate {
+    fn new(p: f64) -> Rate {
+        Rate { p, ln_q: (-p).ln_1p() }
+    }
+
+    fn fires(self) -> bool {
+        self.p > 0.0
+    }
+
+    /// Candidate ticks that pass without a fire before the next one,
+    /// from the uniform word `bits`: geometric with success probability
+    /// `p`. Rate 1 gives 0 and rate 0 (or NaN) gives [`NEVER`]; a gap
+    /// past `u64::MAX` saturates, because `as` does.
+    fn gap(self, bits: u64) -> u64 {
+        if self.p >= 1.0 {
+            return 0;
+        }
+        if !self.fires() {
+            return NEVER;
+        }
+        // 1 − unit ∈ (0, 1], so the log is finite and non-positive.
+        let u = 1.0 - unit(bits);
+        (u.ln() / self.ln_q).floor() as u64
+    }
+}
+
+/// A keyed stream over consecutive candidate ticks: fires so far and
+/// the tick of the next one.
+#[derive(Debug, Clone)]
+struct Schedule {
+    key: u64,
+    rate: Rate,
+    fired: u64,
+    next: u64,
+}
+
+impl Schedule {
+    /// A stream whose first candidate tick is `first`.
+    fn new(key: u64, rate: Rate, first: u64) -> Schedule {
+        Schedule {
+            key,
+            rate,
+            fired: 0,
+            next: first.saturating_add(rate.gap(mix(key, 0))),
+        }
+    }
+
+    /// Whether the stream fires at candidate tick `tick`. Every
+    /// candidate up to its next fire must be asked about in order, or
+    /// skipped as a whole; a fire schedules the next from `tick + 1`.
+    fn fires_at(&mut self, tick: u64) -> bool {
+        debug_assert!(self.next >= tick, "a fire tick was skipped");
+        if self.next != tick {
+            return false;
+        }
+        self.fired += 1;
+        self.next = tick
+            .saturating_add(1)
+            .saturating_add(self.rate.gap(mix(self.key, self.fired)));
+        true
+    }
+}
 
 /// Rates and parameters for every injectable fault class.
 ///
 /// All rates are probabilities in `[0, 1]`; a rate of zero disables the
-/// class (and draws for it never trigger, preserving byte-identity with
+/// class (its schedules never fire, preserving byte-identity with
 /// fault-free runs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
-    /// Root seed of the fault plan. Per-app streams are derived from it
-    /// so the plan replays identically at any thread count.
+    /// Root seed of the fault plan. Every schedule is keyed from it, so
+    /// the plan replays identically at any thread count.
     pub seed: u64,
     /// Per-pod, per-tick crash probability.
     pub pod_crash_rate: f64,
@@ -98,7 +207,7 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// A plan with every rate zero: draws happen, nothing ever fires.
+    /// A plan with every rate zero: nothing ever fires.
     pub fn off(seed: u64) -> Self {
         FaultConfig {
             seed,
@@ -131,6 +240,8 @@ impl FaultConfig {
     }
 
     /// Checks every rate is a probability and every parameter sane.
+    /// The simulator and the serving harness refuse a plan that fails
+    /// it: a NaN or out-of-range rate has no meaning as a gap.
     pub fn validate(&self) -> Result<(), String> {
         let rates = [
             ("pod_crash_rate", self.pod_crash_rate),
@@ -170,63 +281,68 @@ impl FaultConfig {
         Ok(())
     }
 
-    /// Derives a stream seed for (`seed`, `app`, `domain`). SplitMix64
-    /// expansion inside `Rng::seed_from_u64` separates adjacent inputs.
-    fn stream_seed(&self, app: AppId, domain: u64) -> u64 {
-        Rng::seed_from_u64(
-            self.seed
-                ^ domain
-                ^ (app.0 as u64).wrapping_mul(0x2545_F491_4F6C_DD1D),
-        )
-        .next_u64()
+    /// The key of `domain`'s stream for `app`.
+    fn app_key(&self, domain: u64, app: AppId) -> u64 {
+        mix(mix(self.seed, domain), u64::from(app.0))
     }
 
-    /// The engine-side fault stream for one application.
+    /// The engine-side fault schedules for one application. Report and
+    /// actuation streams have a candidate at every tick from tick 0.
     pub fn engine_faults(&self, app: AppId) -> AppFaults {
+        let actuation = self.actuation_drop_rate + self.actuation_delay_rate;
         AppFaults {
-            rng: Rng::seed_from_u64(self.stream_seed(app, ENGINE_DOMAIN)),
-            pod_crash_rate: self.pod_crash_rate,
+            pod: Rate::new(self.pod_crash_rate),
+            pod_key: self.app_key(POD_CRASH_DOMAIN, app),
+            pod_fires: BinaryHeap::new(),
+            report: Schedule::new(
+                self.app_key(REPORT_DOMAIN, app),
+                Rate::new(self.report_loss_rate),
+                0,
+            ),
+            actuation: Schedule::new(
+                self.app_key(ACTUATION_DOMAIN, app),
+                Rate::new(actuation),
+                0,
+            ),
+            drop_share: if actuation > 0.0 {
+                self.actuation_drop_rate / actuation
+            } else {
+                0.0
+            },
+            actuation_delay_ticks: self.actuation_delay_ticks,
             straggler_rate: self.straggler_rate,
             straggler_factor: self.straggler_factor,
-            actuation_delay_rate: self.actuation_delay_rate,
-            actuation_delay_ticks: self.actuation_delay_ticks,
-            actuation_drop_rate: self.actuation_drop_rate,
-            report_loss_rate: self.report_loss_rate,
+            straggler_key: self.app_key(STRAGGLER_DOMAIN, app),
             stats: FaultStats::default(),
         }
     }
 
     /// The forecaster-side fault stream for one application.
     pub fn forecast_faults(&self, app: AppId) -> ForecastFaults {
+        let seed = Rng::seed_from_u64(
+            self.seed
+                ^ FORECAST_DOMAIN
+                ^ (app.0 as u64).wrapping_mul(0x2545_F491_4F6C_DD1D),
+        )
+        .next_u64();
         ForecastFaults {
-            rng: Rng::seed_from_u64(self.stream_seed(app, FORECAST_DOMAIN)),
+            rng: Rng::seed_from_u64(seed),
             rate: self.forecast_fault_rate,
             stats: FaultStats::default(),
         }
     }
 
-    /// The node-crash streams for an `n_nodes`-node cluster. Each node
-    /// gets a private stream keyed by (`seed`, node index,
-    /// `NODE_DOMAIN`) — deliberately app-free, so every app run replays
-    /// the same cluster-wide crash plan. Each run still owns its own
-    /// copy, preserving per-app (and therefore thread-count)
-    /// determinism.
+    /// The crash schedules of an `n_nodes`-node cluster, one per node
+    /// keyed by (`seed`, node index) — deliberately app-free, so every
+    /// app run replays the same cluster-wide crash plan. Every node is
+    /// a candidate from tick 0.
     pub fn node_faults(&self, n_nodes: usize) -> NodeFaults {
+        let key = mix(self.seed, NODE_DOMAIN);
+        let rate = Rate::new(self.node_crash_rate);
         NodeFaults {
-            rngs: (0..n_nodes)
-                .map(|node| {
-                    Rng::seed_from_u64(
-                        Rng::seed_from_u64(
-                            self.seed
-                                ^ NODE_DOMAIN
-                                ^ (node as u64)
-                                    .wrapping_mul(0x2545_F491_4F6C_DD1D),
-                        )
-                        .next_u64(),
-                    )
-                })
+            nodes: (0..n_nodes as u64)
+                .map(|node| Schedule::new(mix(key, node), rate, 0))
                 .collect(),
-            rate: self.node_crash_rate,
             recovery_ticks: self.node_recovery_ticks,
             stats: FaultStats::default(),
         }
@@ -291,40 +407,93 @@ pub enum ActuationFate {
     Drop,
 }
 
-/// One application's engine-side fault stream.
+/// One application's engine-side fault schedules.
 ///
-/// The sim engine calls the draw methods in a fixed documented order;
-/// each method performs exactly one uniform draw, so the stream advances
-/// identically whether or not a fault fires.
+/// The engine tells the schedules which pods exist
+/// ([`Self::spawn_pod`]) and asks at each tick what fires; between
+/// fires it may skip ticks wholesale, because [`Self::next_pod_crash`]
+/// and [`Self::next_tick_fault`] say when the next one is.
 #[derive(Debug, Clone)]
 pub struct AppFaults {
-    rng: Rng,
-    pod_crash_rate: f64,
+    pod: Rate,
+    pod_key: u64,
+    /// Pending pod-crash fires `(tick, uid, fires so far)`, soonest
+    /// first. An entry of a pod that has left the fleet is dropped when
+    /// it surfaces.
+    pod_fires: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    report: Schedule,
+    actuation: Schedule,
+    /// Share of actuation fires that drop rather than delay.
+    drop_share: f64,
+    actuation_delay_ticks: u64,
     straggler_rate: f64,
     straggler_factor: f64,
-    actuation_delay_rate: f64,
-    actuation_delay_ticks: u64,
-    actuation_drop_rate: f64,
-    report_loss_rate: f64,
-    /// Injections fired so far on this stream.
+    straggler_key: u64,
+    /// Injections fired so far on this app's schedules.
     pub stats: FaultStats,
 }
 
 impl AppFaults {
-    /// One per-pod, per-tick draw: does this pod crash now?
-    pub fn crash_pod(&mut self) -> bool {
-        if self.rng.chance(self.pod_crash_rate) {
-            self.stats.pod_crashes += 1;
-            femux_obs::counter_add("fault.pod_crashes", 1);
-            true
-        } else {
-            false
+    /// Starts the crash schedule of pod `uid`, a candidate at every
+    /// tick from `first` on while it stays in the fleet. An in-place
+    /// restart continues the schedule.
+    pub fn spawn_pod(&mut self, uid: u64, first: u64) {
+        if !self.pod.fires() {
+            return;
         }
+        let gap = self.pod.gap(mix(mix(self.pod_key, uid), 0));
+        self.pod_fires
+            .push(Reverse((first.saturating_add(gap), uid, 0)));
     }
 
-    /// One per-cold-start draw: the inflation factor, if straggling.
-    pub fn straggle(&mut self) -> Option<f64> {
-        if self.rng.chance(self.straggler_rate) {
+    /// The pods, among those for which `alive` holds, whose crash falls
+    /// at `tick`, in uid order. Each crash is counted and its pod's
+    /// schedule continues from the next tick.
+    pub fn crash_pods(
+        &mut self,
+        tick: u64,
+        alive: impl Fn(u64) -> bool,
+    ) -> Vec<u64> {
+        let mut crashed = Vec::new();
+        while let Some(&Reverse((at, uid, fired))) = self.pod_fires.peek() {
+            if at > tick {
+                break;
+            }
+            self.pod_fires.pop();
+            if !alive(uid) {
+                continue;
+            }
+            debug_assert_eq!(at, tick, "a pod's crash tick was skipped");
+            let fired = fired + 1;
+            let gap = self.pod.gap(mix(mix(self.pod_key, uid), fired));
+            self.pod_fires.push(Reverse((
+                tick.saturating_add(1).saturating_add(gap),
+                uid,
+                fired,
+            )));
+            self.stats.pod_crashes += 1;
+            femux_obs::counter_add("fault.pod_crashes", 1);
+            crashed.push(uid);
+        }
+        crashed
+    }
+
+    /// The tick of the next crash among pods for which `alive` holds,
+    /// or [`NEVER`]. Entries of departed pods are dropped on the way.
+    pub fn next_pod_crash(&mut self, alive: impl Fn(u64) -> bool) -> u64 {
+        while let Some(&Reverse((at, uid, _))) = self.pod_fires.peek() {
+            if alive(uid) {
+                return at;
+            }
+            self.pod_fires.pop();
+        }
+        NEVER
+    }
+
+    /// The straggler draw of the reactive spawn of pod `uid`: the
+    /// inflation factor, if it straggles.
+    pub fn straggle(&mut self, uid: u64) -> Option<f64> {
+        if unit(mix(self.straggler_key, uid)) < self.straggler_rate {
             self.stats.cold_stragglers += 1;
             femux_obs::counter_add("fault.cold_stragglers", 1);
             Some(self.straggler_factor)
@@ -333,9 +502,9 @@ impl AppFaults {
         }
     }
 
-    /// One per-tick draw: is this interval's concurrency report lost?
-    pub fn lose_report(&mut self) -> bool {
-        if self.rng.chance(self.report_loss_rate) {
+    /// Whether the concurrency report closed at `tick` is lost.
+    pub fn lose_report(&mut self, tick: u64) -> bool {
+        if self.report.fires_at(tick) {
             self.stats.report_losses += 1;
             femux_obs::counter_add("fault.report_losses", 1);
             true
@@ -344,50 +513,63 @@ impl AppFaults {
         }
     }
 
-    /// One per-decision draw: apply, delay, or drop this actuation.
-    pub fn actuation_fate(&mut self) -> ActuationFate {
-        let u = self.rng.f64();
-        if u < self.actuation_drop_rate {
+    /// The fate of the decision taken at `tick`: a fire drops it with
+    /// probability drop ÷ (drop + delay) and delays it otherwise.
+    pub fn actuation_fate(&mut self, tick: u64) -> ActuationFate {
+        if !self.actuation.fires_at(tick) {
+            return ActuationFate::Apply;
+        }
+        let flavor =
+            mix(mix(self.actuation.key, FLAVOR_SALT), self.actuation.fired);
+        if unit(flavor) < self.drop_share {
             self.stats.actuation_drops += 1;
             femux_obs::counter_add("fault.actuation_drops", 1);
             ActuationFate::Drop
-        } else if u < self.actuation_drop_rate + self.actuation_delay_rate {
+        } else {
             self.stats.actuation_delays += 1;
             femux_obs::counter_add("fault.actuation_delays", 1);
             ActuationFate::Delay(self.actuation_delay_ticks)
-        } else {
-            ActuationFate::Apply
         }
+    }
+
+    /// The first tick at which a report is lost or a decision
+    /// misfires, or [`NEVER`].
+    pub fn next_tick_fault(&self) -> u64 {
+        self.report.next.min(self.actuation.next)
     }
 }
 
-/// The cluster's node-crash streams: one private RNG per node.
+/// The cluster's node-crash schedules, one per node.
 ///
-/// The sim engine draws once per *up* node per tick, in ascending node
-/// order, after the pod-level per-tick draws (`crash_pod`,
-/// `lose_report`) and before the decision-side `actuation_fate` draw —
-/// the draw-order contract that `tests/fault_determinism.rs` pins.
-/// Down nodes cannot crash again, so they are skipped; up-ness is
-/// itself deterministic, so the stream stays replayable.
+/// A node is a candidate at every tick it is up. A crash at tick `t`
+/// leaves it down until `t + recovery_ticks`, the first tick at which
+/// it is up and a candidate again, so a node's down time is a function
+/// of its own schedule and the engine never has to report it back.
 #[derive(Debug, Clone)]
 pub struct NodeFaults {
-    rngs: Vec<Rng>,
-    rate: f64,
+    nodes: Vec<Schedule>,
     recovery_ticks: u64,
     /// Injections fired so far (only `node_crashes` is ever non-zero).
     pub stats: FaultStats,
 }
 
 impl NodeFaults {
-    /// One per-up-node, per-tick draw: does this node crash now?
-    pub fn crash_node(&mut self, node: usize) -> bool {
-        if self.rngs[node].chance(self.rate) {
-            self.stats.node_crashes += 1;
-            femux_obs::counter_add("fault.node_crashes", 1);
-            true
-        } else {
-            false
-        }
+    /// The tick of `node`'s next crash, or [`NEVER`].
+    pub fn next_crash(&self, node: usize) -> u64 {
+        self.nodes[node].next
+    }
+
+    /// Counts `node`'s crash at its scheduled tick and schedules the
+    /// next one from the tick it recovers.
+    pub fn crash_node(&mut self, node: usize) {
+        let s = &mut self.nodes[node];
+        s.fired += 1;
+        s.next = s
+            .next
+            .saturating_add(self.recovery_ticks)
+            .saturating_add(s.rate.gap(mix(s.key, s.fired)));
+        self.stats.node_crashes += 1;
+        femux_obs::counter_add("fault.node_crashes", 1);
     }
 
     /// How many intervals a crashed node stays down.
@@ -395,9 +577,9 @@ impl NodeFaults {
         self.recovery_ticks
     }
 
-    /// Number of per-node streams (== cluster node count).
+    /// Number of per-node schedules (== cluster node count).
     pub fn n_nodes(&self) -> usize {
-        self.rngs.len()
+        self.nodes.len()
     }
 }
 
@@ -484,17 +666,26 @@ mod tests {
         AppId(n)
     }
 
+    /// Which of ticks `0..n` a pod born at tick 0 crashes at.
+    fn pod_crash_ticks(f: &mut AppFaults, uid: u64, n: u64) -> Vec<u64> {
+        f.spawn_pod(uid, 0);
+        (0..n).filter(|&t| !f.crash_pods(t, |_| true).is_empty()).collect()
+    }
+
     #[test]
     fn same_seed_same_plan() {
         let cfg = FaultConfig::uniform(7, 0.3);
         let mut a = cfg.engine_faults(app(5));
         let mut b = cfg.engine_faults(app(5));
-        for _ in 0..200 {
-            assert_eq!(a.crash_pod(), b.crash_pod());
-            assert_eq!(a.straggle(), b.straggle());
-            assert_eq!(a.lose_report(), b.lose_report());
-            assert_eq!(a.actuation_fate(), b.actuation_fate());
+        for t in 0..200 {
+            assert_eq!(a.straggle(t), b.straggle(t));
+            assert_eq!(a.lose_report(t), b.lose_report(t));
+            assert_eq!(a.actuation_fate(t), b.actuation_fate(t));
         }
+        assert_eq!(
+            pod_crash_ticks(&mut a, 3, 200),
+            pod_crash_ticks(&mut b, 3, 200)
+        );
         assert_eq!(a.stats, b.stats);
         let mut fa = cfg.forecast_faults(app(5));
         let mut fb = cfg.forecast_faults(app(5));
@@ -504,37 +695,69 @@ mod tests {
     }
 
     #[test]
-    fn apps_get_independent_streams() {
-        let cfg = FaultConfig::uniform(7, 0.5);
-        let draws = |id: u32| {
-            let mut f = cfg.engine_faults(app(id));
-            (0..64).map(|_| f.crash_pod()).collect::<Vec<_>>()
+    fn schedules_are_keyed_not_sequential() {
+        // Asking in another order, or about other keys in between,
+        // changes nothing: a schedule is a function of its key alone.
+        let cfg = FaultConfig::uniform(7, 0.2);
+        let mut a = cfg.engine_faults(app(1));
+        let mut b = cfg.engine_faults(app(1));
+        b.spawn_pod(99, 0);
+        for t in 0..50 {
+            b.straggle(t + 1_000);
+            b.crash_pods(t, |_| true);
+        }
+        assert_eq!(pod_crash_ticks(&mut a, 4, 300), {
+            let mut c = cfg.engine_faults(app(1));
+            pod_crash_ticks(&mut c, 4, 300)
+        });
+        let reports = |f: &mut AppFaults| {
+            (0..300).filter(|&t| f.lose_report(t)).collect::<Vec<_>>()
         };
-        assert_ne!(draws(1), draws(2), "streams must differ per app");
+        assert_eq!(reports(&mut a), reports(&mut b));
+        assert_eq!(a.straggle(17), b.straggle(17));
     }
 
     #[test]
-    fn engine_and_forecast_streams_are_domain_separated() {
+    fn streams_differ_per_app_per_pod_and_per_domain() {
         let cfg = FaultConfig::uniform(7, 0.5);
-        let mut e = cfg.engine_faults(app(1));
-        let mut f = cfg.forecast_faults(app(1));
-        let engine: Vec<bool> = (0..64).map(|_| e.crash_pod()).collect();
-        let forecast: Vec<bool> =
-            (0..64).map(|_| f.fate() != ForecastFate::None).collect();
-        assert_ne!(engine, forecast);
+        let crashes = |id: u32, uid: u64| {
+            pod_crash_ticks(&mut cfg.engine_faults(app(id)), uid, 64)
+        };
+        assert_ne!(crashes(1, 0), crashes(2, 0), "apps must differ");
+        assert_ne!(crashes(1, 0), crashes(1, 1), "pods must differ");
+        let mut f = cfg.engine_faults(app(1));
+        let reports: Vec<u64> =
+            (0..64).filter(|&t| f.lose_report(t)).collect();
+        assert_ne!(crashes(1, 0), reports, "domains must differ");
+        let nodes = cfg.node_faults(2);
+        assert_ne!(nodes.next_crash(0), NEVER);
+        let ticks = |node: usize| {
+            let mut n = cfg.node_faults(2);
+            (0..16)
+                .map(|_| {
+                    let t = n.next_crash(node);
+                    n.crash_node(node);
+                    t
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_ne!(ticks(0), ticks(1), "nodes must differ");
     }
 
     #[test]
     fn zero_rate_never_fires() {
         let cfg = FaultConfig::off(42);
         let mut f = cfg.engine_faults(app(1));
-        for _ in 0..500 {
-            assert!(!f.crash_pod());
-            assert!(f.straggle().is_none());
-            assert!(!f.lose_report());
-            assert_eq!(f.actuation_fate(), ActuationFate::Apply);
+        assert!(pod_crash_ticks(&mut f, 0, 500).is_empty());
+        assert_eq!(f.next_pod_crash(|_| true), NEVER);
+        assert_eq!(f.next_tick_fault(), NEVER);
+        for t in 0..500 {
+            assert!(f.straggle(t).is_none());
+            assert!(!f.lose_report(t));
+            assert_eq!(f.actuation_fate(t), ActuationFate::Apply);
         }
         assert_eq!(f.stats, FaultStats::default());
+        assert_eq!(cfg.node_faults(3).next_crash(2), NEVER);
         let mut ff = cfg.forecast_faults(app(1));
         for _ in 0..500 {
             assert_eq!(ff.fate(), ForecastFate::None);
@@ -548,17 +771,118 @@ mod tests {
         // Drop + delay cannot both be certain; make delay the certainty.
         cfg.actuation_drop_rate = 0.0;
         let mut f = cfg.engine_faults(app(9));
-        for _ in 0..50 {
-            assert!(f.crash_pod());
-            assert_eq!(f.straggle(), Some(10.0));
-            assert!(f.lose_report());
-            assert_eq!(f.actuation_fate(), ActuationFate::Delay(1));
+        assert_eq!(pod_crash_ticks(&mut f, 0, 50), (0..50).collect::<Vec<_>>());
+        for t in 0..50 {
+            assert_eq!(f.straggle(t), Some(10.0));
+            assert!(f.lose_report(t));
+            assert_eq!(f.actuation_fate(t), ActuationFate::Delay(1));
         }
         assert_eq!(f.stats.pod_crashes, 50);
         assert_eq!(f.stats.cold_stragglers, 50);
         assert_eq!(f.stats.report_losses, 50);
         assert_eq!(f.stats.actuation_delays, 50);
         assert_eq!(f.stats.total(), 200);
+        cfg.actuation_drop_rate = 1.0;
+        cfg.actuation_delay_rate = 0.0;
+        let mut f = cfg.engine_faults(app(9));
+        for t in 0..50 {
+            assert_eq!(f.actuation_fate(t), ActuationFate::Drop);
+        }
+    }
+
+    #[test]
+    fn fire_counts_match_the_rate() {
+        // Over n candidate ticks a rate-p stream fires n·p times in
+        // expectation with variance n·p·(1 − p); every count must land
+        // within 4σ. A node schedule counts up ticks only: a crash
+        // takes its node out for `recovery_ticks` candidates.
+        const N: u64 = 1_000_000;
+        for p in [0.001, 0.01, 0.05, 0.5] {
+            let cfg = FaultConfig {
+                pod_crash_rate: p,
+                report_loss_rate: p,
+                node_crash_rate: p,
+                node_recovery_ticks: 3,
+                ..FaultConfig::off(0x5EED)
+            };
+            let within = |fires: u64, n: u64, what: &str| {
+                let n = n as f64;
+                let sigma = (n * p * (1.0 - p)).sqrt();
+                let dev = (fires as f64 - n * p).abs();
+                assert!(
+                    dev <= 4.0 * sigma,
+                    "{what} at rate {p}: {fires} fires over {n} \
+                     candidates, {dev:.1} from n·p (σ = {sigma:.1})"
+                );
+            };
+            let mut f = cfg.engine_faults(app(3));
+            let lost = (0..N).filter(|&t| f.lose_report(t)).count() as u64;
+            within(lost, N, "report loss");
+            let mut f = cfg.engine_faults(app(3));
+            let crashes = pod_crash_ticks(&mut f, 11, N).len() as u64;
+            within(crashes, N, "pod crash");
+            let mut nodes = cfg.node_faults(1);
+            let (mut fires, mut up_ticks, mut t) = (0u64, 0u64, 0u64);
+            while t < N {
+                let next = nodes.next_crash(0).min(N);
+                up_ticks += next - t;
+                if next == N {
+                    break;
+                }
+                up_ticks += 1;
+                fires += 1;
+                nodes.crash_node(0);
+                t = next + 3;
+            }
+            assert_eq!(nodes.stats.node_crashes, fires);
+            within(fires, up_ticks, "node crash");
+        }
+    }
+
+    #[test]
+    fn node_rate_extremes_are_exact() {
+        let nodes = FaultConfig::off(9).node_faults(3);
+        assert!((0..3).all(|n| nodes.next_crash(n) == NEVER));
+        let mut nodes = FaultConfig {
+            node_recovery_ticks: 2,
+            ..FaultConfig::uniform(9, 1.0)
+        }
+        .node_faults(3);
+        for k in 0..50 {
+            for node in 0..3 {
+                // Every up tick fires: crash, down one tick, recover.
+                assert_eq!(nodes.next_crash(node), 2 * k);
+                nodes.crash_node(node);
+            }
+        }
+        assert_eq!(nodes.stats.node_crashes, 150);
+        assert_eq!(nodes.stats.total(), 150);
+        assert_eq!(nodes.recovery_ticks(), 2);
+        assert_eq!(nodes.n_nodes(), 3);
+    }
+
+    #[test]
+    fn gaps_saturate_instead_of_overflowing() {
+        let tiny = Rate::new(f64::MIN_POSITIVE);
+        assert!(tiny.gap(u64::MAX) > 1 << 60);
+        let s = Schedule::new(1, tiny, u64::MAX - 1);
+        assert_eq!(s.next, NEVER);
+        assert_eq!(Rate::new(f64::NAN).gap(0), NEVER);
+        let mut f = FaultConfig::uniform(1, 1.0).engine_faults(app(1));
+        f.spawn_pod(0, NEVER - 1);
+        assert_eq!(f.crash_pods(NEVER - 1, |_| true), vec![0]);
+        assert_eq!(f.next_pod_crash(|_| true), NEVER);
+    }
+
+    #[test]
+    fn departed_pods_never_crash() {
+        let mut f = FaultConfig::uniform(3, 1.0).engine_faults(app(2));
+        f.spawn_pod(0, 0);
+        f.spawn_pod(1, 0);
+        assert_eq!(f.crash_pods(0, |uid| uid == 1), vec![1]);
+        assert_eq!(f.next_pod_crash(|uid| uid == 1), 1);
+        assert!(f.crash_pods(1, |_| false).is_empty());
+        assert_eq!(f.next_pod_crash(|_| true), NEVER);
     }
 
     #[test]
@@ -594,6 +918,12 @@ mod tests {
         cfg.actuation_delay_rate = 0.7;
         cfg.actuation_drop_rate = 0.7;
         assert!(cfg.validate().is_err());
+        let mut cfg = FaultConfig::off(1);
+        cfg.node_recovery_ticks = 0;
+        assert!(cfg.validate().is_err());
+        let mut cfg = FaultConfig::off(1);
+        cfg.node_crash_rate = 1.5;
+        assert!(cfg.validate().is_err());
     }
 
     #[test]
@@ -613,78 +943,6 @@ mod tests {
         assert_eq!(a.forecast_faults, 12);
         assert_eq!(a.node_crashes, 14);
         assert_eq!(a.total(), 2 * b.total());
-    }
-
-    #[test]
-    fn node_streams_are_per_node_and_replayable() {
-        let cfg = FaultConfig::uniform(7, 0.5);
-        let mut a = cfg.node_faults(4);
-        let mut b = cfg.node_faults(4);
-        for _ in 0..100 {
-            for node in 0..4 {
-                assert_eq!(a.crash_node(node), b.crash_node(node));
-            }
-        }
-        assert_eq!(a.stats, b.stats);
-        let draws = |node: usize| {
-            let mut f = cfg.node_faults(4);
-            (0..64).map(|_| f.crash_node(node)).collect::<Vec<_>>()
-        };
-        assert_ne!(draws(0), draws(1), "streams must differ per node");
-    }
-
-    #[test]
-    fn node_domain_is_separated_from_pod_domains() {
-        // Draining the node stream must not shift the app streams: the
-        // app stream is constructed from (seed, app, ENGINE_DOMAIN)
-        // only, so the sequences are independent by construction.
-        let cfg = FaultConfig::uniform(7, 0.5);
-        let before: Vec<bool> = {
-            let mut e = cfg.engine_faults(app(1));
-            (0..64).map(|_| e.crash_pod()).collect()
-        };
-        let mut n = cfg.node_faults(2);
-        for _ in 0..64 {
-            n.crash_node(0);
-            n.crash_node(1);
-        }
-        let after: Vec<bool> = {
-            let mut e = cfg.engine_faults(app(1));
-            (0..64).map(|_| e.crash_pod()).collect()
-        };
-        assert_eq!(before, after);
-    }
-
-    #[test]
-    fn node_zero_rate_never_fires_and_full_rate_always_does() {
-        let mut f = FaultConfig::off(9).node_faults(3);
-        for _ in 0..200 {
-            for node in 0..3 {
-                assert!(!f.crash_node(node));
-            }
-        }
-        assert_eq!(f.stats, FaultStats::default());
-
-        let mut f = FaultConfig::uniform(9, 1.0).node_faults(3);
-        for _ in 0..50 {
-            for node in 0..3 {
-                assert!(f.crash_node(node));
-            }
-        }
-        assert_eq!(f.stats.node_crashes, 150);
-        assert_eq!(f.stats.total(), 150);
-        assert_eq!(f.recovery_ticks(), 1);
-        assert_eq!(f.n_nodes(), 3);
-    }
-
-    #[test]
-    fn node_recovery_ticks_zero_is_rejected() {
-        let mut cfg = FaultConfig::off(1);
-        cfg.node_recovery_ticks = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = FaultConfig::off(1);
-        cfg.node_crash_rate = 1.5;
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //!   phantom 0 → min_scale event).
 //! - **Rate-0 fault inertness** ([`check_rate0_inert`]): installing a
 //!   fault plan with every rate at zero is byte-identical to running
-//!   with no plan at all.
+//!   with no plan at all, and costs the engine exactly the same work
+//!   (equal [`femux_sim::EngineStats`]: the idle fast-forward runs
+//!   under a plan).
 //! - **Cluster ledger conservation** ([`check_cluster_accounting`]):
 //!   every placed pod is accounted for exactly once
 //!   (`placed = evicted + scaled_down + displaced + resident_end`) and
@@ -33,7 +35,8 @@
 //!   time (the quantity `allocated_gb_seconds` is billed from).
 
 use femux_sim::{
-    simulate_app, FixedPolicy, ScalingPolicy, SimConfig, SimResult,
+    simulate_app, simulate_app_with_stats, FixedPolicy, ScalingPolicy,
+    SimConfig, SimResult,
 };
 use femux_trace::types::AppRecord;
 
@@ -324,7 +327,8 @@ pub fn check_unbounded_cluster_transparent(
     Ok(())
 }
 
-/// A fault plan with all rates zero must be byte-identical to no plan.
+/// A fault plan with all rates zero must be byte-identical to no plan
+/// and take the same engine work.
 pub fn check_rate0_inert(
     app: &AppRecord,
     span_ms: u64,
@@ -333,15 +337,26 @@ pub fn check_rate0_inert(
     seed: u64,
 ) -> Result<(), String> {
     assert!(cfg.faults.is_none(), "pass the fault-free configuration");
-    let clean = simulate_app(app, make_policy().as_mut(), span_ms, cfg);
+    let (clean, clean_stats) =
+        simulate_app_with_stats(app, make_policy().as_mut(), span_ms, cfg);
     let mut zeroed_cfg = cfg.clone();
     zeroed_cfg.faults = Some(femux_fault::FaultConfig::off(seed));
-    let zeroed =
-        simulate_app(app, make_policy().as_mut(), span_ms, &zeroed_cfg);
+    let (zeroed, zeroed_stats) = simulate_app_with_stats(
+        app,
+        make_policy().as_mut(),
+        span_ms,
+        &zeroed_cfg,
+    );
     if format!("{clean:?}") != format!("{zeroed:?}") {
         return Err(
             "a rate-0 fault plan changed the simulation".to_string()
         );
+    }
+    if clean_stats != zeroed_stats {
+        return Err(format!(
+            "a rate-0 fault plan changed the engine's work: \
+             {zeroed_stats:?} against {clean_stats:?} without a plan"
+        ));
     }
     if zeroed.faults != femux_fault::FaultStats::default() {
         return Err(format!(

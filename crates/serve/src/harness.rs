@@ -140,11 +140,22 @@ struct ShardResult {
 /// shard sees its minute-`t` sample during step `t`. Shards run in
 /// parallel (femux-par), each advancing its own apps step by step, so
 /// per-tick wall latency is an honest per-shard measurement.
+///
+/// # Panics
+///
+/// Panics with [`FaultConfig::validate`]'s message when `cfg` carries
+/// an invalid fault plan.
 pub fn run(
     trace: &Trace,
     model: Arc<FemuxModel>,
     cfg: &ServeConfig,
 ) -> Result<ServeReport, IngestError> {
+    let invalid = cfg.faults.as_ref().and_then(|f| f.validate().err());
+    assert!(
+        invalid.is_none(),
+        "invalid fault plan: {}",
+        invalid.unwrap_or_default()
+    );
     let feed = TraceFeed::from_trace(trace, cfg.ingest)?;
     let shards = if cfg.shards == 0 {
         femux_par::thread_count()
@@ -214,7 +225,7 @@ impl Served<'_> {
         let lost = self
             .engine_faults
             .as_mut()
-            .is_some_and(|e| e.lose_report());
+            .is_some_and(|e| e.lose_report(step as u64));
         let value = if lost {
             self.outcome.reports_lost += 1;
             f64::NAN

@@ -374,6 +374,16 @@ impl Cluster {
         victims
     }
 
+    /// Record a crash of node `i` while it holds no pods: it goes down
+    /// until `down_until_ms` (whether it was still down or not) and
+    /// nothing else changes.
+    pub fn crash_empty_node(&mut self, i: usize, down_until_ms: u64) {
+        debug_assert_eq!(self.nodes[i].pods, 0, "node {i} holds pods");
+        self.nodes[i].up = false;
+        self.nodes[i].down_until_ms = down_until_ms;
+        self.node_crashes += 1;
+    }
+
     /// Bring any node whose recovery deadline has passed back up.
     pub fn recover_due(&mut self, t: u64) {
         for n in &mut self.nodes {

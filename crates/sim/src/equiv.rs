@@ -10,47 +10,38 @@
 //!
 //! [`assert_tick_idle_equivalence`] is the machine-checked form of that
 //! contract: it replays a battery of idle-heavy scenarios through the
-//! engine twice — once with the policy as given, once behind a private
-//! wrapper that hides its `tick_idle` override, so the trait's default
-//! takes one `target_pods` decision per tick — and asserts the full
-//! [`crate::SimResult`] is `Debug`-identical. A wrong `tick_idle`, or a
-//! wrong batched branch in the engine, differs from the one-tick path.
-//! The engine itself is checked against the independent
-//! per-millisecond reference in `femux-oracle`.
+//! engine twice — once with the policy as given and the idle
+//! fast-forward on, once with every tick taken by the engine's per-tick
+//! path, so the policy decides through `target_pods` at each tick — and
+//! asserts the full [`crate::SimResult`] is `Debug`-identical. A wrong
+//! `tick_idle`, or a wrong batched branch in the engine, differs from
+//! the one-tick path. Every scenario also runs under a battery of fault
+//! plans on a finite cluster, which holds the engine's fast-forward
+//! under a plan (crashes counted in place, stretches ended at observable
+//! faults) to the per-tick path as well. The engine itself is checked
+//! against the independent per-millisecond reference in `femux-oracle`.
 //!
 //! `tests/tick_idle_equivalence.rs` calls it for every policy that
 //! overrides `tick_idle`, and fails when an override in the tree has no
 //! such call, so adding an idle fast path without proving it equivalent
 //! fails CI.
 
-use femux_fault::FaultStats;
+use femux_fault::FaultConfig;
 use femux_trace::types::{AppId, AppRecord, Invocation, WorkloadKind};
 
-use crate::engine::{simulate_app, SimConfig};
-use crate::policy::{PolicyCtx, ScalingPolicy};
+use crate::cluster::{ClusterConfig, NodeConfig};
+use crate::engine::{simulate_app, simulate_per_tick, ScaleLimit, SimConfig};
+use crate::policy::ScalingPolicy;
 
-/// The wrapped policy without its idle fast path: every method but
-/// `tick_idle` is forwarded, so the engine gets the trait's default —
-/// one `target_pods` call per tick.
-struct PerTick(Box<dyn ScalingPolicy>);
+const HOUR: u64 = 3_600_000;
 
-impl ScalingPolicy for PerTick {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn target_pods(&mut self, ctx: &PolicyCtx<'_>) -> usize {
-        self.0.target_pods(ctx)
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.0.fault_stats()
-    }
-}
+/// Ticks a fault-plan run covers at most: the per-tick reference
+/// decides at every one, and faults need no long tails. At 60 s this
+/// keeps every scenario's first 200 minutes, the burst included.
+const FAULT_TICKS: u64 = 200;
 
 /// One synthetic scenario: `(name, app, span_ms)`.
 fn scenarios() -> Vec<(&'static str, AppRecord, u64)> {
-    const HOUR: u64 = 3_600_000;
     let inv = |start_ms: u64, duration_ms: u32| Invocation {
         start_ms,
         duration_ms,
@@ -98,39 +89,153 @@ fn scenarios() -> Vec<(&'static str, AppRecord, u64)> {
     out
 }
 
+/// The fault plans every scenario also runs under, each on perfbench's
+/// crash-phase cluster (16 nodes of 600 MB, four 150 MB pods each):
+/// every engine fault class alone at 5 %, all of them at 5 %, the
+/// crash phase's own plan, and the rate-1 corners.
+fn plans() -> Vec<(&'static str, FaultConfig)> {
+    let off = FaultConfig::off(0xE0_1D1E);
+    vec![
+        ("pod crashes", FaultConfig { pod_crash_rate: 0.05, ..off.clone() }),
+        ("stragglers", FaultConfig { straggler_rate: 0.05, ..off.clone() }),
+        (
+            "actuation delays",
+            FaultConfig {
+                actuation_delay_rate: 0.05,
+                actuation_delay_ticks: 2,
+                ..off.clone()
+            },
+        ),
+        (
+            "actuation drops",
+            FaultConfig { actuation_drop_rate: 0.05, ..off.clone() },
+        ),
+        (
+            "report losses",
+            FaultConfig { report_loss_rate: 0.05, ..off.clone() },
+        ),
+        (
+            "node crashes",
+            FaultConfig {
+                node_crash_rate: 0.05,
+                node_recovery_ticks: 3,
+                ..off.clone()
+            },
+        ),
+        ("all at 5 %", FaultConfig::uniform(off.seed, 0.05)),
+        (
+            "crash phase",
+            FaultConfig {
+                node_crash_rate: 0.01,
+                node_recovery_ticks: 2,
+                pod_crash_rate: 0.001,
+                ..off.clone()
+            },
+        ),
+        (
+            "all certain, delays",
+            FaultConfig {
+                actuation_drop_rate: 0.0,
+                ..FaultConfig::uniform(off.seed, 1.0)
+            },
+        ),
+        (
+            "all certain, drops",
+            FaultConfig {
+                actuation_delay_rate: 0.0,
+                node_recovery_ticks: 2,
+                ..FaultConfig::uniform(off.seed, 1.0)
+            },
+        ),
+    ]
+}
+
+/// Compares one fast-forwarded run of `mk()`'s policy with one run of
+/// a fresh policy through the per-tick path.
+fn assert_run_equivalent(
+    name: &str,
+    what: &str,
+    mk: &mut dyn FnMut() -> Box<dyn ScalingPolicy>,
+    app: &AppRecord,
+    span_ms: u64,
+    cfg: &SimConfig,
+) {
+    let fast = simulate_app(app, mk().as_mut(), span_ms, cfg);
+    let slow = simulate_per_tick(app, mk().as_mut(), span_ms, cfg);
+    assert_eq!(
+        format!("{fast:?}"),
+        format!("{slow:?}"),
+        "policy `{name}`: the idle fast-forward diverges from per-tick \
+         decisions ({what}, interval {} ms)",
+        cfg.interval_ms,
+    );
+}
+
 /// Asserts that the policy built by `mk` makes byte-identical
-/// decisions with its idle fast path (`tick_idle`) and with one
-/// `target_pods` call per tick, across the idle-heavy scenario battery
-/// and both evaluation intervals.
+/// decisions with the idle fast-forward (`tick_idle`) and with one
+/// `target_pods` call per tick, across the idle-heavy scenario battery,
+/// both evaluation intervals, and the fault-plan battery.
 ///
 /// `mk` is called once per run so each run starts from a fresh policy
 /// (policies are stateful).
 ///
 /// # Panics
 ///
-/// Panics with the scenario, interval and first divergence when the
-/// fast path is not equivalent.
+/// Panics with the scenario, plan, interval and first divergence when
+/// the fast path is not equivalent.
 pub fn assert_tick_idle_equivalence(
     name: &str,
     mk: &mut dyn FnMut() -> Box<dyn ScalingPolicy>,
 ) {
-    for (scenario, app, span_ms) in scenarios() {
-        for interval_ms in [60_000, 10_000] {
+    let cluster = ClusterConfig::uniform(
+        16,
+        NodeConfig { cpu_milli: u64::MAX, mem_mb: 600 },
+    );
+    // Stretches that place pods while an empty node is down: a one-pod
+    // floor and any higher target (`FixedPolicy` holds two) pack onto
+    // the first of two small nodes, under the scale-out rate limit,
+    // while node crashes take the empty second one out; an occupied
+    // node's crash sends its pods to whatever the second one's state
+    // allows.
+    let refill = SimConfig {
+        scale_limit: Some(ScaleLimit { threshold: 0, per_minute: 1 }),
+        cluster: Some(ClusterConfig::uniform(
+            2,
+            NodeConfig { cpu_milli: u64::MAX, mem_mb: 300 },
+        )),
+        ..SimConfig::default()
+    };
+    let mut floor = AppRecord::new(AppId(6), WorkloadKind::Function);
+    floor.config.min_scale = 1;
+    for interval_ms in [60_000, 10_000] {
+        let base = SimConfig {
+            interval_ms,
+            record_delays: true,
+            ..SimConfig::default()
+        };
+        for (scenario, app, span_ms) in scenarios() {
+            assert_run_equivalent(name, scenario, mk, &app, span_ms, &base);
+            for (plan, faults) in plans() {
+                let cfg = SimConfig {
+                    faults: Some(faults),
+                    cluster: Some(cluster.clone()),
+                    ..base.clone()
+                };
+                let span_ms = span_ms.min(FAULT_TICKS * interval_ms);
+                let what = format!("scenario `{scenario}`, plan `{plan}`");
+                assert_run_equivalent(name, &what, mk, &app, span_ms, &cfg);
+            }
+        }
+        for (plan, faults) in plans() {
             let cfg = SimConfig {
                 interval_ms,
                 record_delays: true,
-                ..SimConfig::default()
+                faults: Some(faults),
+                ..refill.clone()
             };
-            let fast = simulate_app(&app, mk().as_mut(), span_ms, &cfg);
-            let slow =
-                simulate_app(&app, &mut PerTick(mk()), span_ms, &cfg);
-            assert_eq!(
-                format!("{fast:?}"),
-                format!("{slow:?}"),
-                "policy `{name}`: tick_idle fast path diverges from \
-                 per-tick decisions (scenario `{scenario}`, interval \
-                 {interval_ms} ms)",
-            );
+            let what = format!("scenario `refill beside an empty node`, plan `{plan}`");
+            let span_ms = FAULT_TICKS * interval_ms;
+            assert_run_equivalent(name, &what, mk, &floor, span_ms, &cfg);
         }
     }
 }
@@ -138,7 +243,7 @@ pub fn assert_tick_idle_equivalence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{IdleRun, IdleTicks};
+    use crate::policy::{IdleRun, IdleTicks, PolicyCtx};
 
     /// Holds one pod every tick, but claims its idle fast path holds
     /// none: a broken `tick_idle` the harness must reject.

@@ -25,9 +25,10 @@
 //! per-millisecond `reference_simulate`, held to exact agreement.
 //!
 //! Fault injection (pod crashes, cold-start stragglers, actuation
-//! delay/drop, report loss) is opt-in via [`SimConfig::faults`] and
-//! fully deterministic; see the `femux-fault` crate for the draw-order
-//! contract.
+//! delay/drop, report loss, node crashes) is opt-in via
+//! [`SimConfig::faults`] and fully deterministic: every fault comes
+//! from a keyed schedule (see the `femux-fault` crate), so idle
+//! stretches fast-forward under a plan too.
 
 // A narrowing cast silently corrupts accumulated costs. Cargo rejects
 // per-crate lint entries beside `[lints] workspace = true`, so the

@@ -54,7 +54,12 @@ impl PolicyCtx<'_> {
 ///
 /// The engine builds one of these when the application is provably idle
 /// for `n` consecutive ticks: nothing is in flight, no arrival occurs
-/// before the last tick of the stretch, and no fault plan is installed.
+/// before the last tick of the stretch, and no fault the policy could
+/// observe is due inside it as the fleet stands when it starts (a fault
+/// plan's crashes of empty nodes are counted inside the stretch). A
+/// scale-up inside the stretch can bring such a fault closer; the
+/// engine then caps later runs or ends the stretch early, so `n` bounds
+/// the runs rather than fixing their total.
 /// The observation series already contain the stretch's samples (the
 /// first closes whatever accrued in the current interval; the rest are
 /// exact zeros), and [`IdleTicks::ctx`] reconstructs the per-tick view a
@@ -138,8 +143,9 @@ pub trait ScalingPolicy: Send {
     /// Overrides must not predicate their run length or state updates on
     /// `current_pods` unless the implied pod trajectory is immune to the
     /// scale-out rate limit (targets never above the current count):
-    /// scale-ups may be rate-limited, in which case the engine applies
-    /// the target tick-by-tick but does not re-consult the policy.
+    /// scale-ups may be rate-limited, or under a fault plan lose new
+    /// pods to crashes, in which case the engine applies the target
+    /// tick-by-tick but does not re-consult the policy.
     ///
     /// The default implementation takes exactly one per-tick decision,
     /// which is byte-identical to the slow path for any policy.

@@ -36,22 +36,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Creates a matrix from nested row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have unequal lengths.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |row| row.len());
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "ragged rows");
-            data.extend_from_slice(row);
-        }
-        Matrix { rows: r, cols: c, data }
-    }
-
     /// Returns the number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -65,19 +49,6 @@ impl Matrix {
     /// Returns a view of row `r`.
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Solves `self * x = b` via LU decomposition with partial pivoting.
-    ///
-    /// Returns `None` if the matrix is singular (to working precision).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square or `b.len() != rows`.
-    pub fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
-        assert_eq!(self.rows, self.cols, "solve requires a square matrix");
-        assert_eq!(b.len(), self.rows, "rhs length mismatch");
-        Some(Lu::new(self)?.solve(b))
     }
 }
 
@@ -410,36 +381,42 @@ impl Matrix {
 mod tests {
     use super::*;
 
+    /// Solves `m x = b` through one LU factorization.
+    fn lu_solve(m: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
+        Some(Lu::new(m)?.solve(b))
+    }
+
     #[test]
     fn known_system() {
-        let m = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let x = m.solve(&[5.0, 10.0]).unwrap();
+        let m = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
+        let x = lu_solve(&m, &[5.0, 10.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn singular_returns_none() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(m.solve(&[1.0, 2.0]).is_none());
+        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
+        assert!(lu_solve(&m, &[1.0, 2.0]).is_none());
     }
 
     #[test]
     fn pivoting_handles_zero_leading_entry() {
-        let m = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let x = m.solve(&[3.0, 7.0]).unwrap();
+        let m = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
+        let x = lu_solve(&m, &[3.0, 7.0]).unwrap();
         assert!((x[0] - 7.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn normal_equations_match_explicit_products() {
-        let a = Matrix::from_rows(&[
-            &[1.0, 2.0, 0.5],
-            &[3.0, -1.0, 2.0],
-            &[0.0, 4.0, 1.0],
-            &[2.0, 2.0, 2.0],
-        ]);
+        let a = Matrix::from_vec(
+            4,
+            3,
+            vec![
+                1.0, 2.0, 0.5, 3.0, -1.0, 2.0, 0.0, 4.0, 1.0, 2.0, 2.0, 2.0,
+            ],
+        );
         let y = [1.0, -2.0, 0.5, 3.0];
         let system = normal_equations(&a, &y);
         let gram = system.gram_matrix();
@@ -456,7 +433,7 @@ mod tests {
     #[test]
     fn normal_equations_rhs_starts_like_iterator_sum() {
         // X^T y of an all -0.0 column is -0.0, as `matvec`'s sum gives.
-        let a = Matrix::from_rows(&[&[1.0, -0.0], &[2.0, -0.0]]);
+        let a = Matrix::from_vec(2, 2, vec![1.0, -0.0, 2.0, -0.0]);
         let y = [1.0, 1.0];
         let rhs = normal_equations(&a, &y).rhs;
         let batch = a.transpose().matvec(&y);
@@ -595,7 +572,7 @@ mod tests {
         systems.push(("zero".into(), Matrix::zeros(4, 4)));
         systems.push((
             "rank-one".into(),
-            Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]),
+            Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]),
         ));
         let mut nan = random_matrix(&mut rng, 4);
         nan[(2, 3)] = f64::NAN;
@@ -609,7 +586,7 @@ mod tests {
                     b[0] = f64::INFINITY;
                 }
                 assert_same_bits(
-                    &m.solve(&b),
+                    &lu_solve(m, &b),
                     &reference_solve(m, &b),
                     &format!("{name} rhs {trial}"),
                 );

@@ -4,7 +4,8 @@
 //!
 //! 1. **Shard invariance**: same trace + model + seed ⇒ byte-identical
 //!    decisions, outcomes, and metrics at 1 vs 8 shards (with and
-//!    without an injected fault plan).
+//!    without an injected fault plan), under the reduced test config
+//!    and the paper's deployed config.
 //! 2. **Extractor reset**: one long-lived feature extractor, as every
 //!    `AppManager` runs, emits at every block boundary the exact f64
 //!    row, idle bit and sequence number that a fresh extractor gives on
@@ -18,6 +19,7 @@
 //! telemetry sink, which any concurrently running instrumented code
 //! would write into.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use femux::config::FemuxConfig;
@@ -25,6 +27,7 @@ use femux::model::{train, ClassifierKind, FemuxModel, TrainApp};
 use femux_features::{extract, Block, IncrementalExtractor};
 use femux_serve::harness::{run, ServeConfig};
 use femux_trace::ingest::MonotonePolicy;
+use femux_trace::ops::clip_window;
 use femux_trace::repr::concurrency_per_minute;
 use femux_trace::synth::azure::{self, AzureFleetConfig};
 use femux_trace::synth::ibm::{generate, IbmFleetConfig};
@@ -138,6 +141,66 @@ fn fault_injected_serving_is_shard_invariant() {
         one.totals.total() > 0,
         "the plan must actually inject faults"
     );
+}
+
+#[test]
+fn paper_config_serves_shard_invariantly() {
+    // The configuration behind the paper's numbers: 504-step blocks, a
+    // 120-step history and all six forecasters, over three blocks per
+    // app, at 1 and 8 shards, without and with a 5 % plan (whose keyed
+    // report losses must land on the same steps at any shard count).
+    let _lock = lock();
+    let cfg = FemuxConfig::default();
+    let span_ms = 3 * cfg.block_len as u64 * 60_000;
+    let mut trace = generate(&IbmFleetConfig::small(17));
+    trace.apps.truncate(8);
+    let trace = clip_window(&trace, 0, span_ms);
+    let apps: Vec<TrainApp> = trace
+        .apps
+        .iter()
+        .map(|app| TrainApp {
+            concurrency: concurrency_per_minute(&app.invocations, span_ms),
+            exec_secs: 0.5,
+            mem_gb: 0.5,
+            pod_concurrency: app.config.pod_concurrency(),
+        })
+        .collect();
+    let model = Arc::new(
+        train(&apps, &cfg, ClassifierKind::KMeans).expect("trainable fleet"),
+    );
+    for plan in [None, Some(femux_fault::FaultConfig::uniform(29, 0.05))] {
+        let serve = |shards: usize| {
+            let _g = femux_obs::scoped(false);
+            let report = run(
+                &trace,
+                model.clone(),
+                &ServeConfig {
+                    shards,
+                    faults: plan.clone(),
+                    ..ServeConfig::default()
+                },
+            )
+            .expect("sorted trace");
+            let mut obs = femux_obs::collect();
+            obs.counters.retain(|k, _| !k.starts_with("par."));
+            (report, obs.metrics_json())
+        };
+        let (one, metrics_one) = serve(1);
+        let (eight, metrics_eight) = serve(8);
+        assert_eq!(one.digest(), eight.digest(), "plan {plan:?}");
+        assert_eq!(one.apps, eight.apps, "plan {plan:?}");
+        assert_eq!(metrics_one, metrics_eight, "plan {plan:?}");
+        assert!(one.apps.iter().all(|a| a.blocks >= 2), "two blocks each");
+        if plan.is_some() {
+            assert!(one.totals.report_losses > 0, "the plan must fire");
+        }
+        let served: BTreeSet<_> =
+            one.apps.iter().flat_map(|a| a.decisions.iter()).collect();
+        assert!(
+            served.len() >= 2,
+            "only {served:?} served, so the tier is vacuous"
+        );
+    }
 }
 
 /// Pushes a series through one extractor and asserts, at every block
