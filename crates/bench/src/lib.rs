@@ -174,8 +174,10 @@ impl EvalSetup {
     }
 }
 
-/// The serving-capacity fleet of Fig. 14-Right: `n_apps` dense
-/// IBM-like apps truncated to `steps` virtual minutes. Every size uses
+/// The serving-capacity fleet of Fig. 14-Right: `n_apps` IBM-like apps
+/// at a low rate, truncated to `steps` virtual minutes. The fleet is
+/// sparse: most of its minutes, and most forecast windows, are idle
+/// (EXPERIMENTS.md, Fig. 14-Right, gives the shares). Every size uses
 /// the same seed, so growing the fleet only appends apps: the first `n`
 /// apps of any larger fleet are the `n`-app fleet, and the figure's
 /// rows serve nested fleets.

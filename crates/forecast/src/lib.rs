@@ -236,10 +236,44 @@ pub(crate) mod test_windows {
         ]
     }
 
+    /// Windows at the edges of the smoothing lanes' zero-prefix start:
+    /// one or two leading zeros, `-0.0` in and as the prefix, a prefix
+    /// followed by a non-finite, negative or huge sample, and windows
+    /// that are all zeros or nearly so.
+    fn zero_prefixes() -> Vec<(String, Vec<f64>)> {
+        let after = |prefix: &[f64]| -> Vec<f64> {
+            let tail = (0..120 - prefix.len()).map(|t| 1.0 + (t % 7) as f64);
+            prefix.iter().copied().chain(tail).collect()
+        };
+        let mut windows = vec![
+            ("one-zero".to_string(), after(&[0.0])),
+            ("two-zeros".into(), after(&[0.0, 0.0])),
+            ("neg-zero-first".into(), after(&[-0.0, 0.0, 0.0])),
+            ("neg-zero-second".into(), after(&[0.0, -0.0, 0.0])),
+            ("neg-zero-one".into(), after(&[-0.0])),
+            ("neg-zero-two".into(), after(&[-0.0, -0.0])),
+            ("neg-zero-prefix".into(), after(&[-0.0; 30])),
+            ("119-zeros".into(), after(&[0.0; 119])),
+            ("all-neg-zero".into(), vec![-0.0; 120]),
+            ("three-zeros".into(), vec![0.0; 3]),
+        ];
+        for (name, value) in [
+            ("nan", f64::NAN),
+            ("infinity", f64::INFINITY),
+            ("minus-one", -1.0),
+            ("max", f64::MAX),
+        ] {
+            let mut prefix = vec![0.0; 30];
+            prefix.push(value);
+            windows.push((format!("zeros-then-{name}"), after(&prefix)));
+        }
+        windows
+    }
+
     /// The bit-identity sweep: 120-step windows (the paper's history)
     /// cut from seeded IBM-like and Azure-like fleets, sparse and
     /// all-zero windows, windows whose octiles repeat (SETAR's threshold
-    /// candidates), and the adversarial battery.
+    /// candidates), the zero-prefix edges, and the adversarial battery.
     pub(crate) fn sweep() -> Vec<(String, Vec<f64>)> {
         let mut series = Vec::new();
         for seed in [3, 11] {
@@ -293,6 +327,7 @@ pub(crate) mod test_windows {
             "ramp".into(),
             (0..120).map(|t| 0.25 * t as f64).collect(),
         ));
+        windows.extend(zero_prefixes());
         windows.extend(
             adversarial()
                 .into_iter()

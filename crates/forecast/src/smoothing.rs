@@ -20,12 +20,36 @@
 //! forecast is bit-identical to the point-by-point search (kept as the
 //! test reference).
 //!
-//! Holt's lanes are most of a serving tick, since the trained router
-//! picks Holt for most apps, so they also have an AVX2 build, picked at
-//! run time as `femux_stats`'s BDS pair loop is: one `#[inline(always)]`
-//! body, compiled once portably and once under
+//! The trained router picks Holt for most apps, so Holt's lanes are
+//! most of a serving tick's work: about two thirds of perfbench's
+//! traced serve pass. They also have an AVX2 build, picked at run time
+//! as `femux_stats`'s BDS pair loop is: one `#[inline(always)]` body,
+//! compiled once portably and once under
 //! `#[target_feature(enable = "avx2")]`. An AVX2 build of the SES lanes
 //! measured no faster, so SES stays portable.
+//!
+//! # Leading zeros
+//!
+//! Most serving windows of a sparse app open with idle minutes, so both
+//! kernels start their lanes at the first non-zero sample of a window
+//! that opens with z ≥ 2 samples equal to `0.0` (of either sign), from
+//! level +0, trend +0 and SSE +0. That is the state the point-by-point
+//! run reaches at sample z:
+//!
+//! - Holt starts from h₀ = ±0 and trend h₁ − h₀ with h₁ = ±0. In all
+//!   four sign cases the first step predicts +0, adds a squared error
+//!   of +0, and leaves level α·h₁ + (1−α)·(+0) = +0 and trend
+//!   β·(+0 − h₀) + (1−β)·(h₁ − h₀) = +0, since α, β ∈ (0, 1).
+//! - Each further ±0 sample keeps it there: pred = +0, err = ±0,
+//!   α·(±0) + (1−α)·(+0) = +0 and β·(+0 − +0) + (1−β)·(+0) = +0.
+//! - SES is the same argument without the trend: the first step leaves
+//!   level ±0 + α·(h₁ − h₀) = +0, and each further zero keeps it.
+//!
+//! So every lane's level, trend and SSE keep their bits, and a window
+//! of zeros runs no step at all and forecasts +0 as before. A window
+//! with one leading zero starts as before, since h₁ − h₀ still seeds
+//! Holt's trend, and NaN never equals 0, so no non-finite sample is
+//! skipped.
 
 use crate::Forecaster;
 
@@ -38,12 +62,30 @@ const HOLT_BETAS: usize = 6;
 /// Holt lanes: lane `a * HOLT_BETAS + b` runs α = `GRID[a]`, β = `GRID[b]`.
 const HOLT_LANES: usize = GRID.len() * HOLT_BETAS;
 
+/// Where the lanes start on `history` (at least two samples), and the
+/// level and trend every lane starts from there.
+///
+/// A window that opens with two or more zeros starts at its first
+/// non-zero sample (or its end) from level +0 and trend +0, the state
+/// the skipped zeros leave (see "Leading zeros"); any other window
+/// starts at sample 1 from level `history[0]` and trend
+/// `history[1] - history[0]`.
+fn lane_start(history: &[f64]) -> (usize, f64, f64) {
+    let zeros = history.iter().take_while(|&&x| x == 0.0).count();
+    if zeros >= 2 {
+        (zeros, 0.0, 0.0)
+    } else {
+        (1, history[0], history[1] - history[0])
+    }
+}
+
 /// Runs SES for every α in [`GRID`] at once; returns each lane's final
 /// level and SSE of one-step errors.
 fn ses_lanes(history: &[f64]) -> ([f64; GRID.len()], [f64; GRID.len()]) {
-    let mut level = [history[0]; GRID.len()];
+    let (start, level0, _) = lane_start(history);
+    let mut level = [level0; GRID.len()];
     let mut sse = [0.0; GRID.len()];
-    for &x in &history[1..] {
+    for &x in &history[start..] {
         for l in 0..GRID.len() {
             let err = x - level[l];
             sse[l] += err * err;
@@ -124,10 +166,11 @@ fn holt_lanes_body(history: &[f64]) -> HoltLanes {
         std::array::from_fn(|l| GRID[l % HOLT_BETAS]);
     let keep_level = alpha.map(|a| 1.0 - a);
     let keep_trend = beta.map(|b| 1.0 - b);
-    let mut level = [history[0]; HOLT_LANES];
-    let mut trend = [history[1] - history[0]; HOLT_LANES];
+    let (start, level0, trend0) = lane_start(history);
+    let mut level = [level0; HOLT_LANES];
+    let mut trend = [trend0; HOLT_LANES];
     let mut sse = [0.0; HOLT_LANES];
-    for &x in &history[1..] {
+    for &x in &history[start..] {
         for l in 0..HOLT_LANES {
             let pred = level[l] + trend[l];
             let err = x - pred;
