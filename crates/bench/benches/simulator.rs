@@ -5,7 +5,11 @@
 //! experiment turnaround.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use femux_sim::{simulate_app, KeepAlivePolicy, KnativeDefaultPolicy, SimConfig};
+use femux_fault::FaultConfig;
+use femux_sim::{
+    simulate_app, ClusterConfig, KeepAlivePolicy, KnativeDefaultPolicy,
+    NodeConfig, SimConfig,
+};
 use femux_trace::synth::ibm::{generate, IbmFleetConfig};
 use femux_trace::types::{AppId, AppRecord, Invocation, WorkloadKind};
 use std::hint::black_box;
@@ -119,5 +123,81 @@ fn bench_simulator(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simulator);
+/// Ticks of a 62-day span at the 60 s interval.
+const TICKS_62D: u64 = 62 * 1_440;
+
+/// perfbench's crash-phase plan: node crashes at 1 % and pod crashes at
+/// 0.1 % per tick, a crashed node down for two ticks.
+fn crash_plan(seed: u64) -> FaultConfig {
+    FaultConfig {
+        node_crash_rate: 0.01,
+        node_recovery_ticks: 2,
+        pod_crash_rate: 0.001,
+        ..FaultConfig::off(seed)
+    }
+}
+
+/// Sparse 62-day apps under the crash-phase cluster (16 nodes of
+/// 600 MB) and plan, one per class of floor: a floor no node can hold,
+/// no floor, and a one-pod floor. Each iteration replays one app under
+/// the 10-minute keep-alive; the plan's seed is fixed, so the thread's
+/// node-crash memo is warm as it is across the jobs of a pass. The last
+/// entry draws a whole 16-node 62-day plan on a cold memo, a new plan
+/// seed per iteration: the cost each worker pays once per pass.
+fn bench_crash_plan(c: &mut Criterion) {
+    // perfbench's sparse fleet, unrotated.
+    let trace = generate(&IbmFleetConfig {
+        n_apps: 64,
+        span_days: 62,
+        seed: 0x74EB_AC81_22DC_91CA,
+        max_invocations_per_app: 500,
+        rate_scale: 0.005,
+    });
+    let node = NodeConfig { cpu_milli: u64::MAX, mem_mb: 600 };
+    let cfg = SimConfig {
+        cluster: Some(ClusterConfig::uniform(16, node)),
+        faults: Some(crash_plan(7)),
+        ..SimConfig::default()
+    };
+    let fits_nowhere = |a: &&AppRecord| a.config.min_scale > 0 && a.mem_used_mb > 600;
+    let min_scale = |n: u32| move |a: &&AppRecord| a.config.min_scale == n;
+    let apps = [
+        ("fits_nowhere", trace.apps.iter().find(fits_nowhere)),
+        ("min_scale_0", trace.apps.iter().find(min_scale(0))),
+        ("min_scale_1", trace.apps.iter().find(min_scale(1))),
+    ];
+    let mut group = c.benchmark_group("simulate_app_crash_plan");
+    for (name, app) in apps {
+        let app = app.expect("the sparse fleet has an app of every class");
+        group.throughput(Throughput::Elements(app.invocations.len() as u64));
+        group.bench_function(format!("{name}_62d_keepalive"), |b| {
+            b.iter(|| {
+                let mut policy = KeepAlivePolicy::ten_minutes();
+                black_box(simulate_app(
+                    black_box(app),
+                    &mut policy,
+                    trace.span_ms,
+                    &cfg,
+                ))
+            })
+        });
+    }
+    let mut seed = 0u64;
+    group.throughput(Throughput::Elements(16));
+    group.bench_function("cold_memo_16_node_62d_plan", |b| {
+        b.iter(|| {
+            seed += 1;
+            let mut nodes = crash_plan(seed).node_faults(16);
+            for node in 0..16 {
+                while nodes.next_crash(node) < TICKS_62D {
+                    nodes.crash_node(node);
+                }
+            }
+            black_box(nodes.stats.node_crashes)
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_simulator, bench_crash_plan);
 criterion_main!(benches);

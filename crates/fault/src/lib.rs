@@ -52,6 +52,14 @@
 //! `u64` saturates (never fires). Ticks are 0-based candidate slots the
 //! caller numbers (the engine's first interval boundary is tick 0).
 //!
+//! A node's fires are a pure function of (seed, node) like any other
+//! stream's, and the plan is app-free, so each thread memoizes the last
+//! node-crash plan it was asked for (keyed by seed, node-crash rate,
+//! recovery ticks and node count) and extends it lazily in fire order:
+//! a thread replaying many apps under one plan draws each fire once.
+//! The memo only saves work; counts and `fault.node_crashes` telemetry
+//! stay per app run ([`NodeFaults`]).
+//!
 //! The forecaster stream is the one sequential stream left: it draws
 //! once per forecast call, and its manager is one sequential unit.
 //!
@@ -59,6 +67,7 @@
 //! byte-identical to runs with no fault layer at all; `fault.*`
 //! telemetry is emitted only when an injection actually fires.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -335,18 +344,92 @@ impl FaultConfig {
     /// The crash schedules of an `n_nodes`-node cluster, one per node
     /// keyed by (`seed`, node index) — deliberately app-free, so every
     /// app run replays the same cluster-wide crash plan. Every node is
-    /// a candidate from tick 0.
+    /// a candidate from tick 0. The fire ticks come from this thread's
+    /// memo of the plan, which this call claims (see [`NodeFaults`]).
     pub fn node_faults(&self, n_nodes: usize) -> NodeFaults {
         let key = mix(self.seed, NODE_DOMAIN);
         let rate = Rate::new(self.node_crash_rate);
+        let plan = PlanKey {
+            seed: self.seed,
+            rate_bits: self.node_crash_rate.to_bits(),
+            recovery_ticks: self.node_recovery_ticks,
+            n_nodes,
+        };
+        NODE_PLAN.with_borrow_mut(|memo| {
+            if memo.as_ref().is_none_or(|m| m.key != plan) {
+                *memo = Some(NodePlan {
+                    key: plan,
+                    fires: vec![Vec::new(); n_nodes],
+                });
+            }
+        });
         NodeFaults {
-            nodes: (0..n_nodes as u64)
-                .map(|node| Schedule::new(mix(key, node), rate, 0))
+            nodes: (0..n_nodes)
+                .map(|node| {
+                    let key = mix(key, node as u64);
+                    let next =
+                        plan_fire(&plan, node, 0, || rate.gap(mix(key, 0)));
+                    Schedule { key, rate, fired: 0, next }
+                })
                 .collect(),
             recovery_ticks: self.node_recovery_ticks,
+            plan,
             stats: FaultStats::default(),
         }
     }
+}
+
+/// What a node-crash plan's fire ticks depend on, and the node count
+/// its memo is sized for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PlanKey {
+    seed: u64,
+    rate_bits: u64,
+    recovery_ticks: u64,
+    n_nodes: usize,
+}
+
+/// The fire ticks of one node-crash plan drawn so far on this thread:
+/// node by node, in fire order.
+struct NodePlan {
+    key: PlanKey,
+    fires: Vec<Vec<u64>>,
+}
+
+thread_local! {
+    /// The last node-crash plan [`FaultConfig::node_faults`] was asked
+    /// for on this thread. The plan is app-free, so a thread replaying
+    /// many apps under it draws each fire once.
+    static NODE_PLAN: RefCell<Option<NodePlan>> = const { RefCell::new(None) };
+}
+
+/// Fire `k` of `node` under `plan`: read from this thread's memo when
+/// the memo holds `plan` and has drawn it, else drawn by `draw`, which
+/// extends the memo when fire `k` is the node's next one there.
+fn plan_fire(
+    plan: &PlanKey,
+    node: usize,
+    k: u64,
+    draw: impl FnOnce() -> u64,
+) -> u64 {
+    NODE_PLAN.with_borrow_mut(|memo| {
+        let Some(fires) = memo
+            .as_mut()
+            .filter(|m| m.key == *plan)
+            .map(|m| &mut m.fires[node])
+        else {
+            return draw();
+        };
+        let k = k as usize;
+        if let Some(&tick) = fires.get(k) {
+            return tick;
+        }
+        let tick = draw();
+        if fires.len() == k {
+            fires.push(tick);
+        }
+        tick
+    })
 }
 
 /// Counts of every injected fault, per app or merged fleet-wide.
@@ -545,10 +628,20 @@ impl AppFaults {
 /// leaves it down until `t + recovery_ticks`, the first tick at which
 /// it is up and a candidate again, so a node's down time is a function
 /// of its own schedule and the engine never has to report it back.
+///
+/// Each value owns its position in every node's schedule and its
+/// counts, so every app run counts the whole plan again. The fire ticks
+/// themselves come from a per-thread memo of the last plan
+/// [`FaultConfig::node_faults`] was asked for, extended lazily in fire
+/// order: a thread that replays many apps under one plan draws each
+/// fire once. A value whose plan the memo no longer holds draws its
+/// fires itself. Either way a fire is the same pure function of its
+/// key, so the memo changes no tick.
 #[derive(Debug, Clone)]
 pub struct NodeFaults {
     nodes: Vec<Schedule>,
     recovery_ticks: u64,
+    plan: PlanKey,
     /// Injections fired so far (only `node_crashes` is ever non-zero).
     pub stats: FaultStats,
 }
@@ -564,10 +657,11 @@ impl NodeFaults {
     pub fn crash_node(&mut self, node: usize) {
         let s = &mut self.nodes[node];
         s.fired += 1;
-        s.next = s
-            .next
-            .saturating_add(self.recovery_ticks)
-            .saturating_add(s.rate.gap(mix(s.key, s.fired)));
+        s.next = plan_fire(&self.plan, node, s.fired, || {
+            s.next
+                .saturating_add(self.recovery_ticks)
+                .saturating_add(s.rate.gap(mix(s.key, s.fired)))
+        });
         self.stats.node_crashes += 1;
         femux_obs::counter_add("fault.node_crashes", 1);
     }
@@ -859,6 +953,143 @@ mod tests {
         assert_eq!(nodes.stats.total(), 150);
         assert_eq!(nodes.recovery_ticks(), 2);
         assert_eq!(nodes.n_nodes(), 3);
+    }
+
+    /// The next `k` fire ticks of `node`, crashing it at each.
+    fn node_fires(nodes: &mut NodeFaults, node: usize, k: usize) -> Vec<u64> {
+        (0..k)
+            .map(|_| {
+                let tick = nodes.next_crash(node);
+                nodes.crash_node(node);
+                tick
+            })
+            .collect()
+    }
+
+    /// Every node's first `k` fire ticks under `cfg`, drawn on a cold
+    /// memo.
+    fn cold_fires(cfg: &FaultConfig, n_nodes: usize, k: usize) -> Vec<Vec<u64>> {
+        NODE_PLAN.with_borrow_mut(|memo| *memo = None);
+        let mut nodes = cfg.node_faults(n_nodes);
+        (0..n_nodes).map(|node| node_fires(&mut nodes, node, k)).collect()
+    }
+
+    /// A tick no schedule draws in these tests.
+    const POISON: u64 = NEVER - 7;
+
+    /// Overwrites every fire the memo holds with [`POISON`].
+    fn poison_memo() {
+        NODE_PLAN.with_borrow_mut(|memo| {
+            for fires in &mut memo.as_mut().expect("a memoized plan").fires {
+                fires.fill(POISON);
+            }
+        });
+    }
+
+    fn crash_plan() -> FaultConfig {
+        FaultConfig {
+            node_crash_rate: 0.05,
+            node_recovery_ticks: 2,
+            ..FaultConfig::off(0xC0FFEE)
+        }
+    }
+
+    #[test]
+    fn a_warm_memo_replays_the_cold_draw() {
+        let cfg = crash_plan();
+        let cold = cold_fires(&cfg, 4, 40);
+        NODE_PLAN.with_borrow_mut(|memo| *memo = None);
+        let mut ahead = cfg.node_faults(4);
+        for (node, fires) in cold.iter().enumerate() {
+            assert_eq!(node_fires(&mut ahead, node, 10), fires[..10]);
+        }
+        // Built on the memo `ahead` left: ten fires per node read back,
+        // the rest drawn and memoized.
+        let mut warm = cfg.node_faults(4);
+        for (node, fires) in cold.iter().enumerate() {
+            assert_eq!(&node_fires(&mut warm, node, 40), fires);
+            assert_eq!(node_fires(&mut ahead, node, 30), fires[10..]);
+        }
+        assert_eq!(warm.stats.node_crashes, 160);
+        assert_eq!(ahead.stats.node_crashes, 160);
+    }
+
+    #[test]
+    fn values_of_one_plan_advanced_in_turn_keep_their_own_place() {
+        let cfg = crash_plan();
+        let cold = cold_fires(&cfg, 3, 30);
+        NODE_PLAN.with_borrow_mut(|memo| *memo = None);
+        let mut a = cfg.node_faults(3);
+        let mut b = cfg.node_faults(3);
+        let (mut got_a, mut got_b) = (vec![Vec::new(); 3], vec![Vec::new(); 3]);
+        // Uneven turns: each value leads some nodes and trails others.
+        for round in 0..10 {
+            for node in 0..3 {
+                let (na, nb) = if (round + node) % 2 == 0 { (1, 5) } else { (5, 1) };
+                got_a[node].extend(node_fires(&mut a, node, na));
+                got_b[node].extend(node_fires(&mut b, node, nb));
+            }
+        }
+        for node in 0..3 {
+            let (la, lb) = (got_a[node].len(), got_b[node].len());
+            got_a[node].extend(node_fires(&mut a, node, 30 - la));
+            got_b[node].extend(node_fires(&mut b, node, 30 - lb));
+            assert_eq!(got_a[node], cold[node], "node {node}, first value");
+            assert_eq!(got_b[node], cold[node], "node {node}, second value");
+        }
+    }
+
+    #[test]
+    fn plans_differing_in_one_key_never_share_fires() {
+        let base = crash_plan();
+        let variants = [
+            ("seed", FaultConfig { seed: base.seed + 1, ..base.clone() }, 4),
+            ("rate", FaultConfig { node_crash_rate: 0.06, ..base.clone() }, 4),
+            ("recovery", FaultConfig { node_recovery_ticks: 3, ..base.clone() }, 4),
+            ("node count", base.clone(), 3),
+        ];
+        let base_cold = cold_fires(&base, 4, 20);
+        for (what, cfg, n_nodes) in variants {
+            let cold = cold_fires(&cfg, n_nodes, 20);
+            // A poisoned memo of the base plan is read by the base plan…
+            NODE_PLAN.with_borrow_mut(|memo| *memo = None);
+            let mut older = base.node_faults(4);
+            for node in 0..4 {
+                node_fires(&mut older, node, 5);
+            }
+            poison_memo();
+            assert_eq!(base.node_faults(4).next_crash(0), POISON);
+            // …and by no plan that differs in `what`.
+            let mut nodes = cfg.node_faults(n_nodes);
+            for (node, fires) in cold.iter().enumerate() {
+                assert_eq!(&node_fires(&mut nodes, node, 20), fires, "{what}");
+            }
+            // The base plan's older value now draws its own fires, and
+            // reads none of the variant's poisoned ones.
+            poison_memo();
+            for (node, fires) in base_cold.iter().enumerate() {
+                assert_eq!(node_fires(&mut older, node, 15), fires[5..], "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_plan_claimed_again_starts_its_memo_over() {
+        let cfg = crash_plan();
+        let cold = cold_fires(&cfg, 2, 30);
+        let mut older = cfg.node_faults(2);
+        for node in 0..2 {
+            node_fires(&mut older, node, 5);
+        }
+        // Another plan takes the memo, then this one claims it again:
+        // the memo restarts at fire 0, behind `older`, which must draw
+        // its own fires without storing them out of order.
+        FaultConfig { seed: cfg.seed + 1, ..cfg.clone() }.node_faults(2);
+        let mut fresh = cfg.node_faults(2);
+        for (node, fires) in cold.iter().enumerate() {
+            assert_eq!(node_fires(&mut older, node, 25), fires[5..]);
+            assert_eq!(&node_fires(&mut fresh, node, 30), fires);
+        }
     }
 
     #[test]

@@ -413,6 +413,7 @@ fn shrink(
 fn adversarial_app(id: u32, which: usize, span_ms: u64) -> AppRecord {
     let mut config = AppConfig::default();
     let mut invocations = Vec::new();
+    let mut mem_used_mb = 150;
     match which {
         // Same-millisecond burst at concurrency 100: must queue on the
         // single warming pod, not fan out one pod per request.
@@ -492,7 +493,7 @@ fn adversarial_app(id: u32, which: usize, span_ms: u64) -> AppRecord {
         }
         // Work that overhangs the span end: admitted before the cut,
         // finishes in the drain.
-        _ => {
+        5 => {
             invocations.push(Invocation {
                 start_ms: span_ms.saturating_sub(500),
                 duration_ms: 30_000,
@@ -504,12 +505,21 @@ fn adversarial_app(id: u32, which: usize, span_ms: u64) -> AppRecord {
                 delay_ms: 0,
             });
         }
+        // A floor no tight node can hold: 711 MB pods against 600 MB
+        // nodes, so the initial floor and every tick's target are
+        // denied, and the engine counts its idle denials in bulk. No
+        // arrival: an overcommitted request runs with no pod, which the
+        // conservation invariant does not allow for.
+        _ => {
+            config.min_scale = 2;
+            mem_used_mb = 711;
+        }
     }
     AppRecord {
         id: AppId(id),
         kind: WorkloadKind::Application,
         config,
-        mem_used_mb: 150,
+        mem_used_mb,
         cold_start_ms: 808,
         invocations,
     }
@@ -726,7 +736,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
         apps.push((format!("azure/{}", app.id), app));
     }
 
-    for which in 0..6 {
+    for which in 0..7 {
         let app = adversarial_app(90_000 + which as u32, which, cfg.span_ms);
         apps.push((format!("adversarial/{which}"), app));
     }

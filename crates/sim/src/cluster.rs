@@ -264,6 +264,8 @@ pub struct Cluster {
     nodes: Vec<Node>,
     policy: Box<dyn PlacementPolicy>,
     req: PodRequest,
+    /// Whether `req` fits no node even empty and up.
+    fits_nowhere: bool,
     pod_node: BTreeMap<u64, usize>,
     node_pod_ms: Vec<u64>,
     last_t: u64,
@@ -280,8 +282,10 @@ pub struct Cluster {
 impl Cluster {
     pub fn new(cfg: &ClusterConfig, req: PodRequest) -> Self {
         debug_assert!(cfg.validate().is_ok(), "invalid cluster config");
+        let nodes: Vec<Node> = cfg.nodes.iter().copied().map(Node::new).collect();
         Self {
-            nodes: cfg.nodes.iter().copied().map(Node::new).collect(),
+            fits_nowhere: !nodes.iter().any(|n| n.fits(req)),
+            nodes,
             policy: make_policy(cfg.placement),
             req,
             pod_node: BTreeMap::new(),
@@ -351,6 +355,13 @@ impl Cluster {
     /// Whether any up-node currently fits one more pod.
     pub fn can_place(&self) -> bool {
         self.nodes.iter().any(|n| n.fits(self.req))
+    }
+
+    /// Whether the app's pod fits no node even when that node is empty
+    /// and up, so no placement ever succeeds: a static property of the
+    /// pod request and the cluster shape.
+    pub fn fits_nowhere(&self) -> bool {
+        self.fits_nowhere
     }
 
     /// Number of nodes currently up.
@@ -522,6 +533,26 @@ mod tests {
         assert_eq!(out.placed, 10_000);
         assert_eq!(out.resident_end, 10_000);
         assert!(out.conserved());
+    }
+
+    #[test]
+    fn fits_nowhere_is_the_empty_cluster_refusing_one_pod() {
+        let big = PodRequest { cpu_milli: 1000, mem_mb: 711 };
+        assert!(Cluster::new(&small(16, 600), big).fits_nowhere());
+        assert!(!Cluster::new(&small(16, 711), big).fits_nowhere());
+        let cores = PodRequest { cpu_milli: 9000, mem_mb: 100 };
+        assert!(Cluster::new(&small(2, 600), cores).fits_nowhere());
+        let mut mixed = small(2, 600);
+        mixed.nodes[1].mem_mb = 800;
+        assert!(!Cluster::new(&mixed, big).fits_nowhere());
+        assert!(!Cluster::new(&ClusterConfig::unbounded(), big).fits_nowhere());
+        // A full or crashed cluster still fits the pod somewhere.
+        let mut full = Cluster::new(&small(1, 300), REQ);
+        for uid in 0..3 {
+            full.try_place(uid);
+        }
+        full.crash_node(0, 60_000);
+        assert!(!full.can_place() && !full.fits_nowhere());
     }
 
     #[test]

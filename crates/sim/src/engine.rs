@@ -795,10 +795,16 @@ impl Engine<'_> {
     /// in-flight work keeps its original completion time — the same
     /// simplification the pod-level crash layer makes — but queued
     /// joiners on still-warming pods are dropped from the waiting count
-    /// (they were already billed their delay at admission).
+    /// (they were already billed their delay at admission). `uids` are
+    /// one node's residents, ascending as [`Cluster::crash_node`]
+    /// returns them; only the pods at or after the first one removed
+    /// move, so only they re-index.
     fn remove_displaced(&mut self, uids: &[u64], t: u64) {
-        for &uid in uids {
-            let idx = self.index_of[&uid];
+        debug_assert!(uids.is_sorted(), "displaced uids are ascending");
+        let mut first = self.pods.len();
+        for uid in uids {
+            let idx = self.index_of.remove(uid).expect("a displaced pod");
+            first = first.min(idx);
             let p = self.pods[idx];
             if p.warm_at > t {
                 self.waiting -= p.queued;
@@ -807,12 +813,16 @@ impl Engine<'_> {
                 self.warm_pods -= 1;
             }
         }
-        let dead: BTreeSet<u64> = uids.iter().copied().collect();
-        self.pods.retain(|p| !dead.contains(&p.uid));
-        self.index_of.clear();
-        for (i, p) in self.pods.iter().enumerate() {
-            self.index_of.insert(p.uid, i);
+        let mut kept = first;
+        for i in first..self.pods.len() {
+            let p = self.pods[i];
+            if uids.binary_search(&p.uid).is_err() {
+                self.pods[kept] = p;
+                self.index_of.insert(p.uid, kept);
+                kept += 1;
+            }
         }
+        self.pods.truncate(kept);
         self.displaced_pending += uids.len() as u64;
     }
 
@@ -1014,7 +1024,7 @@ impl Engine<'_> {
         let mut cl = self.cluster.take().expect("node faults imply a cluster");
         cl.recover_due(t);
         let recovery_ms = nf.recovery_ticks() * self.cfg.interval_ms;
-        let mut displaced: Vec<u64> = Vec::new();
+        let mut fresh = 0u64;
         for node in 0..nf.n_nodes() {
             if nf.next_crash(node) != tick {
                 continue;
@@ -1023,17 +1033,16 @@ impl Engine<'_> {
             nf.crash_node(node);
             let victims = cl.crash_node(node, t + recovery_ms);
             self.trace_node_crash(t, node, victims.len(), cl.node_crashes);
-            displaced.extend(victims);
-        }
-        if !displaced.is_empty() {
-            let fresh = displaced.len() as u64;
-            self.remove_displaced(&displaced, t);
-            if self.displaced_pending == fresh {
-                // First displacement of an episode: the first respawn
-                // attempt runs at the next tick (zero strikes, zero
-                // penalty).
-                self.restart_due = t + self.cfg.interval_ms;
+            if !victims.is_empty() {
+                self.remove_displaced(&victims, t);
+                fresh += victims.len() as u64;
             }
+        }
+        if fresh > 0 && self.displaced_pending == fresh {
+            // First displacement of an episode: the first respawn
+            // attempt runs at the next tick (zero strikes, zero
+            // penalty).
+            self.restart_due = t + self.cfg.interval_ms;
         }
         // Respawn round: place queued displaced pods (cold,
         // non-joinable, new identity) on surviving nodes.
@@ -1416,7 +1425,13 @@ impl Engine<'_> {
     /// while the app is quiescent, so applying a target `T ≤ current`
     /// leaves exactly `max(T, min_scale)` pods. Rate-limited scale-ups
     /// are the one pod-count trajectory the policy cannot predict, so
-    /// those re-apply the (constant) target tick-by-tick.
+    /// those re-apply the (constant) target tick-by-tick. Beside them
+    /// runs the denial run: a target above the pod count because the
+    /// app's pod fits no node even empty and up
+    /// ([`Cluster::fits_nowhere`]) can never be placed, so its pod count
+    /// stays constant and each further tick of the run is one placement
+    /// denial, counted in bulk. A floor that fits some node but not the
+    /// room left (nodes full or down) keeps the tick-by-tick path.
     ///
     /// Under a fault plan, a crash of a node holding none of the app's
     /// pods is counted in place at its own tick. Any other crash — a
@@ -1525,7 +1540,12 @@ impl Engine<'_> {
             self.apply_target(t, target);
             self.pod_counts.push(self.pods.len());
             i += ticks;
-            if self.pods.len() < target
+            // A target above a pod count that no node can ever raise is
+            // denied once per tick and changes nothing else.
+            let short = self.pods.len() < target;
+            let denied = short
+                && self.cluster.as_ref().is_some_and(Cluster::fits_nowhere);
+            if (short && !denied)
                 || (self.next_uid != spawned_from
                     && self.quiet_ticks(t) < ticks)
             {
@@ -1567,6 +1587,11 @@ impl Engine<'_> {
                 }
                 if self.node_faults.is_some() {
                     self.absorb_node_crashes(lt);
+                }
+                if denied {
+                    let cl = self.cluster.as_mut().expect("denied by a cluster");
+                    cl.placement_denials += ticks - 1;
+                    femux_obs::counter_add("evict.placement_denials", ticks - 1);
                 }
                 let len = self.pod_counts.len();
                 #[expect(
@@ -2594,6 +2619,32 @@ mod tests {
             .iter()
             .any(|s| matches!(s.cause, WaitCause::Saturated)));
         assert!(outcome.conserved());
+    }
+
+    #[test]
+    fn a_floor_no_node_holds_fast_forwards_its_denials() {
+        // A three-pod floor of 1 GB pods, six hours (360 ticks), one
+        // request at hour one: three denials at placement, then one per
+        // tick whether or not the floor partly fits.
+        let app = app_with(vec![inv(3_600_000, 500)], 1, 3);
+        let span = 6 * 3_600_000;
+        let run = |cfg: &SimConfig| {
+            let (res, stats) =
+                simulate_app_with_stats(&app, &mut ZeroPolicy, span, cfg);
+            (res.cluster.expect("cluster outcome"), stats)
+        };
+        // 600 MB nodes hold none of it: the idle runs stay batched.
+        let (nowhere, stats) = run(&cluster_cfg(4, 600));
+        assert_eq!(nowhere.placement_denials, 3 + 360);
+        assert_eq!(nowhere.saturated_overcommits, 1);
+        assert!(stats.ticks <= 2, "{stats:?}");
+        assert!(stats.batched_ticks >= 350, "{stats:?}");
+        // A 2 GB node holds two of the three: a short run that placement
+        // could raise, so each tick runs on its own.
+        let (partly, stats) = run(&cluster_cfg(1, 2_048));
+        assert_eq!(partly.placement_denials, 1 + 360);
+        assert_eq!(stats.batched_ticks, 0, "{stats:?}");
+        assert_eq!(stats.ticks + stats.idle_transitions, 360, "{stats:?}");
     }
 
     #[test]

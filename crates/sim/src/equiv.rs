@@ -15,10 +15,11 @@
 //! path, so the policy decides through `target_pods` at each tick — and
 //! asserts the full [`crate::SimResult`] is `Debug`-identical. A wrong
 //! `tick_idle`, or a wrong batched branch in the engine, differs from
-//! the one-tick path. Every scenario also runs under a battery of fault
-//! plans on a finite cluster, which holds the engine's fast-forward
-//! under a plan (crashes counted in place, stretches ended at observable
-//! faults) to the per-tick path as well. The engine itself is checked
+//! the one-tick path. Every scenario also runs on a finite cluster,
+//! without a plan and under a battery of fault plans, which holds the
+//! engine's fast-forward on a cluster (denials counted in bulk, crashes
+//! counted in place, stretches ended at observable faults) to the
+//! per-tick path as well. The engine itself is checked
 //! against the independent per-millisecond reference in `femux-oracle`.
 //!
 //! `tests/tick_idle_equivalence.rs` calls it for every policy that
@@ -85,6 +86,17 @@ fn scenarios() -> Vec<(&'static str, AppRecord, u64)> {
     // Empty app, scale-to-zero: the degenerate all-idle run.
     let app = AppRecord::new(AppId(5), WorkloadKind::Function);
     out.push(("all-idle-empty", app, 6 * HOUR));
+
+    // A floor no node can hold: five 711 MB pods against 600 MB nodes,
+    // so on a cluster every tick's target is denied and every arrival
+    // runs overcommitted, and the denial runs are counted in bulk.
+    let mut app = AppRecord::new(AppId(7), WorkloadKind::Application);
+    app.config.min_scale = 5;
+    app.mem_used_mb = 711;
+    for k in 0..4 {
+        app.invocations.push(inv(HOUR / 2 + k * 80 * 60_000, 300));
+    }
+    out.push(("floor-no-node-holds", app, 6 * HOUR));
 
     out
 }
@@ -207,6 +219,12 @@ pub fn assert_tick_idle_equivalence(
     };
     let mut floor = AppRecord::new(AppId(6), WorkloadKind::Function);
     floor.config.min_scale = 1;
+    // A floor that partly fits: four of its five 150 MB pods fill the
+    // two small nodes and the fifth is denied at every tick. The pod
+    // fits a node, so the engine cannot rule out room and keeps these
+    // runs on the per-tick path.
+    let mut partial = AppRecord::new(AppId(8), WorkloadKind::Function);
+    partial.config.min_scale = 5;
     for interval_ms in [60_000, 10_000] {
         let base = SimConfig {
             interval_ms,
@@ -215,27 +233,42 @@ pub fn assert_tick_idle_equivalence(
         };
         for (scenario, app, span_ms) in scenarios() {
             assert_run_equivalent(name, scenario, mk, &app, span_ms, &base);
+            let on_cluster = SimConfig {
+                cluster: Some(cluster.clone()),
+                ..base.clone()
+            };
+            let what = format!("scenario `{scenario}`, on the cluster");
+            assert_run_equivalent(name, &what, mk, &app, span_ms, &on_cluster);
             for (plan, faults) in plans() {
                 let cfg = SimConfig {
                     faults: Some(faults),
-                    cluster: Some(cluster.clone()),
-                    ..base.clone()
+                    ..on_cluster.clone()
                 };
                 let span_ms = span_ms.min(FAULT_TICKS * interval_ms);
                 let what = format!("scenario `{scenario}`, plan `{plan}`");
                 assert_run_equivalent(name, &what, mk, &app, span_ms, &cfg);
             }
         }
-        for (plan, faults) in plans() {
-            let cfg = SimConfig {
-                interval_ms,
-                record_delays: true,
-                faults: Some(faults),
-                ..refill.clone()
-            };
-            let what = format!("scenario `refill beside an empty node`, plan `{plan}`");
-            let span_ms = FAULT_TICKS * interval_ms;
-            assert_run_equivalent(name, &what, mk, &floor, span_ms, &cfg);
+        let on_refill = SimConfig {
+            interval_ms,
+            record_delays: true,
+            ..refill.clone()
+        };
+        let span_ms = FAULT_TICKS * interval_ms;
+        for (scenario, app) in [
+            ("refill beside an empty node", &floor),
+            ("a floor that partly fits", &partial),
+        ] {
+            let what = format!("scenario `{scenario}`, no plan");
+            assert_run_equivalent(name, &what, mk, app, span_ms, &on_refill);
+            for (plan, faults) in plans() {
+                let cfg = SimConfig {
+                    faults: Some(faults),
+                    ..on_refill.clone()
+                };
+                let what = format!("scenario `{scenario}`, plan `{plan}`");
+                assert_run_equivalent(name, &what, mk, app, span_ms, &cfg);
+            }
         }
     }
 }
