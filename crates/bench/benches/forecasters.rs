@@ -4,10 +4,13 @@
 //! (<7 ms mean inference, §5.2); these benches pin the per-model cost on
 //! the paper's 120-minute history window: a dense one that never
 //! touches zero, and sparse ones that open with idle minutes, as most
-//! serving windows of a sparse app do.
+//! serving windows of a sparse app do. Those groups time a full fit of
+//! one window; `forecast_kept_sliding` times what serving pays, one
+//! kept forecaster refitting a window that slides by a minute per call.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use femux_forecast::ForecasterKind;
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use femux_forecast::smoothing::HoltForecaster;
+use femux_forecast::{Forecaster, ForecasterKind};
 use femux_trace::repr::concurrency_per_minute;
 use femux_trace::synth::ibm::{self, IbmFleetConfig};
 use std::hint::black_box;
@@ -25,28 +28,47 @@ fn after_zeros(zeros: usize) -> Vec<f64> {
     window
 }
 
-/// Minutes 300–419 of app 0 of a seeded IBM-like fleet at the serving
-/// fleet's rate: 32 leading zeros, then 24 busy minutes among idle ones.
-fn ibm_window() -> Vec<f64> {
+/// App 0 of a seeded IBM-like fleet at the serving fleet's rate, per
+/// minute over `days` days.
+fn ibm_minutes(days: u64) -> Vec<f64> {
     let trace = ibm::generate(&IbmFleetConfig {
         n_apps: 1,
-        span_days: 1,
+        span_days: days,
         seed: 7,
         max_invocations_per_app: 40_000,
         rate_scale: 0.2,
     });
-    let minutes =
-        concurrency_per_minute(&trace.apps[0].invocations, trace.span_ms);
-    minutes[300..420].to_vec()
+    concurrency_per_minute(&trace.apps[0].invocations, trace.span_ms)
+}
+
+/// Minutes 300–419 of [`ibm_minutes`]: 32 leading zeros, then 24 busy
+/// minutes among idle ones.
+fn ibm_window() -> Vec<f64> {
+    ibm_minutes(1)[300..420].to_vec()
+}
+
+/// One-step forecasts of one window, called over and over: a kept
+/// forecaster, except that Holt gets a fresh one per call, because its
+/// memo would resume the repeated window in full. Every call fits the
+/// whole window.
+fn full_fit(kind: ForecasterKind) -> impl FnMut(&[f64]) -> Vec<f64> {
+    let mut kept = kind.build();
+    move |window| {
+        if kind == ForecasterKind::Holt {
+            HoltForecaster::default().forecast(window, 1)
+        } else {
+            kept.forecast(window, 1)
+        }
+    }
 }
 
 fn bench_forecasters(c: &mut Criterion) {
     let window = history(120);
     let mut group = c.benchmark_group("forecast_120min_window");
     for kind in ForecasterKind::ALL {
-        let mut forecaster = kind.build();
+        let mut forecast = full_fit(kind);
         group.bench_function(kind.name(), |b| {
-            b.iter(|| black_box(forecaster.forecast(black_box(&window), 1)))
+            b.iter(|| black_box(forecast(black_box(&window))))
         });
     }
     group.finish();
@@ -62,9 +84,32 @@ fn bench_sparse_windows(c: &mut Criterion) {
     let mut group = c.benchmark_group("forecast_120min_sparse");
     for (name, window) in &windows {
         for kind in ForecasterKind::ALL {
+            let mut forecast = full_fit(kind);
+            group.bench_function(format!("{name}/{}", kind.name()), |b| {
+                b.iter(|| black_box(forecast(black_box(window))))
+            });
+        }
+    }
+    group.finish();
+}
+
+/// Sliding windows, as serving refits: an iteration is one pass of a
+/// kept forecaster over 1,512 windows of 120 minutes, one minute apart,
+/// and the throughput counts its calls, so 1 / throughput is the time
+/// per call.
+fn bench_kept_sliding(c: &mut Criterion) {
+    let series = [("ibm", ibm_minutes(2)), ("dense", history(1_632))];
+    let mut group = c.benchmark_group("forecast_kept_sliding");
+    group.throughput(Throughput::Elements(1_512));
+    for (name, series) in &series {
+        for kind in [ForecasterKind::Holt, ForecasterKind::Fft] {
             let mut forecaster = kind.build();
             group.bench_function(format!("{name}/{}", kind.name()), |b| {
-                b.iter(|| black_box(forecaster.forecast(black_box(window), 1)))
+                b.iter(|| {
+                    for window in series.windows(120).take(1_512) {
+                        black_box(forecaster.forecast(black_box(window), 1));
+                    }
+                })
             });
         }
     }
@@ -87,6 +132,7 @@ criterion_group!(
     benches,
     bench_forecasters,
     bench_sparse_windows,
+    bench_kept_sliding,
     bench_horizons
 );
 criterion_main!(benches);

@@ -288,9 +288,11 @@ impl AppManager {
     /// produce when the window is settled
     /// ([`Self::idle_window_settled`]), no fault stream is installed,
     /// and no block boundary is crossed — the forecasts are pure
-    /// repeats (forecasters only mutate in `train`, a `femux-forecast`
-    /// contract) and the settled window is unchanged, so only the
-    /// block's features, the step count and the forecast counter move.
+    /// repeats (a forecast is a pure function of history and horizon,
+    /// and a forecaster keeps state only to skip work whose inputs it
+    /// compared bit for bit, a `femux-forecast` contract) and the
+    /// settled window is unchanged, so only the block's features, the
+    /// step count and the forecast counter move.
     pub fn skip_idle_steps(&mut self, k: usize) {
         if k == 0 {
             return;

@@ -4,6 +4,30 @@
 //! by IceBreaker and by Huawei's characterization work, and as one of
 //! FeMux's multiplexed forecasters for *periodic* blocks. FeMux keeps the
 //! top 10 harmonics (§4.3.3).
+//!
+//! # All-zero windows
+//!
+//! Most of a sparse app's windows are idle minutes only, so a window
+//! whose every sample equals `0.0` (of either sign) forecasts +0 at
+//! every step without a transform. That is what the transform returns:
+//!
+//! - With ±0 input, every Bluestein chirp product, butterfly and kernel
+//!   multiply stays ±0, because every twiddle, chirp and kernel entry is
+//!   finite: a product of ±0 and a finite value is ±0, and a sum or
+//!   difference of two zeros is a zero.
+//! - `hypot` of two zeros is +0, so every amplitude is +0, and the mean
+//!   (bin 0's real part over n) is ±0. Each extrapolated value is the
+//!   mean plus a sum of amplitude × cosine terms, so ±0 too.
+//! - Written `p.max(0.0)`, the clamp would leave the sign of two equal
+//!   zeros to the backend (LLVM's `maxnum` may return either operand).
+//!   It is `if p > 0.0 { p } else { 0.0 }` instead, which returns what
+//!   `max` does for every negative, NaN, infinite and positive `p`, and
+//!   +0 for ±0.
+//!
+//! The tests keep the transform path as the reference and check, with
+//! `to_bits`, that in an optimized build the early return and the clamp
+//! change no output of the identity sweep or of any all-zero window up
+//! to 120 samples.
 
 use femux_stats::fft::harmonic_extrapolate;
 
@@ -39,12 +63,14 @@ impl Forecaster for FftForecaster {
     }
 
     fn predict(&mut self, history: &[f64], horizon: usize) -> Vec<f64> {
-        if history.is_empty() || horizon == 0 {
+        // An empty or all-zero window forecasts +0 (see "All-zero
+        // windows").
+        if horizon == 0 || history.iter().all(|&x| x == 0.0) {
             return vec![0.0; horizon];
         }
         harmonic_extrapolate(history, self.harmonics, horizon)
             .into_iter()
-            .map(|p| p.max(0.0))
+            .map(|p| if p > 0.0 { p } else { 0.0 })
             .collect()
     }
 }
@@ -52,6 +78,53 @@ impl Forecaster for FftForecaster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_windows;
+
+    /// The forecaster before the all-zero return: every non-empty
+    /// window is transformed and clamped with `max`.
+    fn reference_predict(
+        history: &[f64],
+        harmonics: usize,
+        horizon: usize,
+    ) -> Vec<f64> {
+        if history.is_empty() || horizon == 0 {
+            return vec![0.0; horizon];
+        }
+        harmonic_extrapolate(history, harmonics, horizon)
+            .into_iter()
+            .map(|p| p.max(0.0))
+            .collect()
+    }
+
+    #[test]
+    fn zero_return_and_clamp_match_the_transform_bit_for_bit() {
+        let mut windows = test_windows::sweep();
+        for len in 1..=120 {
+            windows.push((format!("zeros-{len}"), vec![0.0; len]));
+            windows.push((format!("neg-zeros-{len}"), vec![-0.0; len]));
+        }
+        let mut fc = FftForecaster::paper();
+        for (name, history) in &windows {
+            for horizon in [1, 10] {
+                let got = fc.predict(history, horizon);
+                let want = reference_predict(history, 10, horizon);
+                assert_eq!(got.len(), want.len(), "{name}");
+                for (g, w) in got.iter().zip(&want) {
+                    // `max` leaves the sign of a zero to the backend. An
+                    // optimized build returns +0 here, as the new clamp
+                    // does; an unoptimized one returns -0.0 for a few
+                    // all-`-0.0` windows (lengths 1, 2 and 4).
+                    let backend_zero = cfg!(debug_assertions)
+                        && *w == 0.0
+                        && g.to_bits() == 0;
+                    assert!(
+                        g.to_bits() == w.to_bits() || backend_zero,
+                        "{name} at horizon {horizon}: {got:?} vs {want:?}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn periodic_signal_extrapolates() {

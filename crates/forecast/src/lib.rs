@@ -12,9 +12,13 @@
 //!
 //! All forecasters consume a history window of per-step values (FeMux
 //! uses 120 minutes of per-minute average concurrency) and predict the
-//! next `horizon` steps. Refitting happens on every call; each model is
-//! cheap enough that a forecast completes in single-digit milliseconds,
-//! which is the property the paper's scalability study (§5.2) relies on.
+//! next `horizon` steps. Every call fits the model to the window it is
+//! given: a forecast is a pure function of (history, horizon), and an
+//! impl keeps state across calls only to skip work whose inputs it
+//! compared bit for bit (Holt resumes its lanes where its last call
+//! stopped, see [`smoothing`]). Each model is cheap enough that a
+//! forecast completes in single-digit milliseconds, which is the
+//! property the paper's scalability study (§5.2) relies on.
 
 pub mod ar;
 pub mod fft;
@@ -26,9 +30,13 @@ pub mod smoothing;
 
 /// A traffic forecaster.
 ///
-/// Implementations must be deterministic given the same history: the
+/// A forecast is a pure function of (history, horizon): the same inputs
+/// give the same bits whatever the forecaster was asked before, so a
+/// forecaster kept for a whole run and a fresh one per call agree. An
+/// impl may keep state across calls only to skip work whose inputs it
+/// compared bit for bit with the earlier call's (Holt's memo). The
 /// offline training pipeline simulates forecasts for thousands of
-/// application blocks and relies on reproducibility.
+/// application blocks and relies on this reproducibility.
 pub trait Forecaster: Send {
     /// Stable, short identifier (used in experiment output and as the
     /// classifier's label space).
@@ -126,7 +134,9 @@ impl ForecasterKind {
             }
             ForecasterKind::Fft => Box::new(fft::FftForecaster::paper()),
             ForecasterKind::Ses => Box::new(smoothing::SesForecaster),
-            ForecasterKind::Holt => Box::new(smoothing::HoltForecaster),
+            ForecasterKind::Holt => {
+                Box::new(smoothing::HoltForecaster::default())
+            }
             ForecasterKind::Markov => {
                 Box::new(markov::MarkovForecaster::paper())
             }
@@ -459,6 +469,88 @@ mod tests {
         assert_eq!(preds.len(), 45);
         for (k, p) in preds.iter().enumerate() {
             assert_eq!(*p, (k + 4) as f64);
+        }
+    }
+
+    /// Idle minutes (long enough for all-zero windows, one of them
+    /// `-0.0`), then a burst every 23 minutes: windows open with zeros
+    /// ahead of the same burst for many steps, and a window ten steps on
+    /// may open with zeros ahead of a later one.
+    fn bursty_series() -> Vec<f64> {
+        (0..400)
+            .map(|t| match t {
+                40..=42 => [2.0, 0.5, 1.0][t - 40],
+                100 => -0.0,
+                170.. if t % 23 < 3 => 1.0 + (t % 7) as f64 * 0.25,
+                _ => 0.0,
+            })
+            .collect()
+    }
+
+    fn dense_series() -> Vec<f64> {
+        (0..300)
+            .map(|t| 2.0 + ((t as f64) * 0.21).sin().abs() * 3.0)
+            .collect()
+    }
+
+    #[test]
+    fn a_kept_forecaster_forecasts_like_a_fresh_one() {
+        let bits = |values: &[f64]| -> Vec<u64> {
+            values.iter().map(|v| v.to_bits()).collect()
+        };
+        let sweep = test_windows::sweep();
+        let mut foreign = sweep.iter().cycle();
+        for (series_name, series) in
+            [("bursty", bursty_series()), ("dense", dense_series())]
+        {
+            // (start, end, horizon) of each window: sliding as serving
+            // refits, strided as labelling does, growing as at start-up.
+            let n = series.len();
+            let sliding: Vec<_> = (120..n).map(|t| (t - 120, t, 1)).collect();
+            let strided: Vec<_> = (120..n)
+                .step_by(10)
+                .map(|t| (t - 120, t, 10.min(n - t)))
+                .collect();
+            let growing: Vec<_> = (1..=120).map(|t| (0, t, 1)).collect();
+            let patterns = [
+                ("sliding", sliding),
+                ("strided", strided),
+                ("growing", growing),
+            ];
+            for (pattern, windows) in patterns {
+                for kind in ForecasterKind::ALL {
+                    let mut kept = kind.build();
+                    let mut check = |what: &str, history: &[f64], horizon| {
+                        assert_eq!(
+                            bits(&kept.forecast(history, horizon)),
+                            bits(&kind.build().forecast(history, horizon)),
+                            "{kind}, {pattern} {series_name}: {what}"
+                        );
+                    };
+                    for (i, &(start, end, horizon)) in
+                        windows.iter().enumerate()
+                    {
+                        let window = &series[start..end];
+                        // Every third window follows foreign ones rather
+                        // than its predecessor: two windows that differ
+                        // only in their first sample, then a sweep
+                        // window, so a memo that compared less than the
+                        // start and every sample would be read stale.
+                        if i % 3 == 2 {
+                            for first in [1.0, 2.5] {
+                                let mut twin = window.to_vec();
+                                twin[0] = first;
+                                check("first-sample twin", &twin, horizon);
+                            }
+                            let (name, history) =
+                                foreign.next().expect("cycle");
+                            check(name, history, horizon);
+                        }
+                        let what = format!("window {start}..{end}");
+                        check(&what, window, horizon);
+                    }
+                }
+            }
         }
     }
 

@@ -5,7 +5,8 @@
 //!
 //! - **Cost conservation** ([`check_conservation`]): execution time
 //!   never exceeds the capacity that was allocated
-//!   (`exec_seconds ≤ alive-pod-seconds × per-pod concurrency`), the
+//!   (`exec_seconds ≤ alive-pod-seconds × per-pod concurrency`) unless
+//!   a saturated cluster ran work overcommitted, with no pod, the
 //!   structural [`femux_rum::CostRecord::check`] passes, and the
 //!   cold-start count equals the number of requests that waited.
 //! - **Headroom monotonicity** ([`check_headroom_monotone`]): holding
@@ -45,6 +46,13 @@ use femux_trace::types::AppRecord;
 const EPS: f64 = 1e-6;
 
 /// Cost conservation for a single fault-free result.
+///
+/// A cluster with neither room nor a victim runs a request
+/// overcommitted, with no pod (a saturated overcommit), so its
+/// execution time has no allocated capacity behind it: a result that
+/// records one skips the capacity inequality, as
+/// [`check_min_scale_floor`] skips a cluster that pushed back. The
+/// other checks still apply to it.
 pub fn check_conservation(
     app: &AppRecord,
     res: &SimResult,
@@ -53,7 +61,11 @@ pub fn check_conservation(
     res.costs.check()?;
     let mem_gb = app.mem_used_mb as f64 / 1_024.0;
     let concurrency = f64::from(app.config.pod_concurrency());
-    if mem_gb > 0.0 {
+    let overcommitted = res
+        .cluster
+        .as_ref()
+        .is_some_and(|cl| cl.saturated_overcommits > 0);
+    if mem_gb > 0.0 && !overcommitted {
         let capacity_secs =
             res.costs.allocated_gb_seconds / mem_gb * concurrency;
         if res.costs.exec_seconds > capacity_secs * (1.0 + EPS) + EPS {
@@ -365,4 +377,73 @@ pub fn check_rate0_inert(
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sweep::ClusterVariant;
+    use femux_sim::KeepAlivePolicy;
+    use femux_trace::types::{
+        AppConfig, AppId, Invocation, WorkloadKind,
+    };
+
+    /// One 400 ms request of a 711 MB app on the tight cluster's two
+    /// 600 MB nodes: it finds neither room nor a victim and runs
+    /// overcommitted, with no pod.
+    fn overcommitted_run() -> (AppRecord, SimResult) {
+        let app = AppRecord {
+            id: AppId(7),
+            kind: WorkloadKind::Application,
+            config: AppConfig::default(),
+            mem_used_mb: 711,
+            cold_start_ms: 808,
+            invocations: vec![Invocation {
+                start_ms: 15_000,
+                duration_ms: 400,
+                delay_ms: 0,
+            }],
+        };
+        let cfg = SimConfig {
+            record_delays: true,
+            cluster: ClusterVariant::Tight.config(),
+            ..SimConfig::default()
+        };
+        let res = simulate_app(
+            &app,
+            &mut KeepAlivePolicy::five_minutes(),
+            120_000,
+            &cfg,
+        );
+        (app, res)
+    }
+
+    #[test]
+    fn overcommitted_work_skips_only_the_capacity_inequality() {
+        let (app, res) = overcommitted_run();
+        let cluster = res.cluster.as_ref().expect("a clustered run");
+        assert_eq!(cluster.saturated_overcommits, 1);
+        assert!(res.costs.exec_seconds > 0.0);
+        assert_eq!(res.costs.allocated_gb_seconds, 0.0);
+        assert_eq!(check_conservation(&app, &res, true), Ok(()));
+
+        // The cold-start count is still checked.
+        let mut unwaited = res.clone();
+        unwaited.delays_secs.fill(0.0);
+        assert!(check_conservation(&app, &unwaited, true)
+            .is_err_and(|e| e.contains("cold starts were counted")));
+
+        // Without a recorded overcommit, the same exec time over no
+        // capacity fails, clustered or not.
+        let mut uncommitted = res.clone();
+        if let Some(cl) = &mut uncommitted.cluster {
+            cl.saturated_overcommits = 0;
+        }
+        let mut unclustered = res;
+        unclustered.cluster = None;
+        for broken in [uncommitted, unclustered] {
+            assert!(check_conservation(&app, &broken, true)
+                .is_err_and(|e| e.contains("exceeds allocated capacity")));
+        }
+    }
 }

@@ -507,12 +507,17 @@ fn adversarial_app(id: u32, which: usize, span_ms: u64) -> AppRecord {
         }
         // A floor no tight node can hold: 711 MB pods against 600 MB
         // nodes, so the initial floor and every tick's target are
-        // denied, and the engine counts its idle denials in bulk. No
-        // arrival: an overcommitted request runs with no pod, which the
-        // conservation invariant does not allow for.
+        // denied, and the engine counts its idle denials in bulk. The
+        // one request finds no room either and runs overcommitted, with
+        // no pod.
         _ => {
             config.min_scale = 2;
             mem_used_mb = 711;
+            invocations.push(Invocation {
+                start_ms: 15_000,
+                duration_ms: 400,
+                delay_ms: 0,
+            });
         }
     }
     AppRecord {
