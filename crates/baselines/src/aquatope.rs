@@ -56,21 +56,7 @@ impl ScalingPolicy for AquatopePolicy {
             return 0;
         }
         let predicted_arrivals = self.lstm.forecast(window, 1)[0];
-        if predicted_arrivals < 0.5 {
-            return 0;
-        }
-        let total_arrivals: f64 = window.iter().sum();
-        let conc_window = &ctx.avg_concurrency
-            [ctx.avg_concurrency.len() - window.len()..];
-        let total_conc: f64 = conc_window.iter().sum();
-        let slot = 1.0 / f64::from(ctx.config.pod_concurrency());
-        let conc_per_arrival = if total_arrivals > 0.0 {
-            total_conc / total_arrivals
-        } else {
-            slot
-        };
-        let predicted_conc = (predicted_arrivals * conc_per_arrival).max(slot);
-        ctx.pods_for_concurrency(predicted_conc)
+        crate::pods_for_arrivals(ctx, window, predicted_arrivals)
     }
 
     fn tick_idle(
@@ -81,11 +67,7 @@ impl ScalingPolicy for AquatopePolicy {
         max_ticks: u64,
     ) -> IdleRun {
         let ctx = idle.ctx(i, current_pods);
-        let n = ctx.arrivals.len();
-        let settled = n >= self.history
-            && ctx.arrivals[n - self.history..]
-                .iter()
-                .all(|&v| v == 0.0);
+        let settled = crate::settled(ctx.arrivals, self.history);
         let target = self.target_pods(&ctx);
         if !settled {
             return IdleRun { target, ticks: 1 };

@@ -90,6 +90,23 @@ impl HybridHistogramPolicy {
             last_active_interval: None,
         }
     }
+
+    /// The keep rule: whether a pod stays warm `idle_min` minutes after
+    /// the last active interval.
+    fn keeps(&self, idle_min: f64) -> bool {
+        if self.histogram.representable() {
+            let head = self.histogram.quantile(0.05);
+            let tail = self.histogram.quantile(0.99);
+            // Shut down inside (head - margin, ...] only when safely
+            // before the predicted next arrival; keep alive through the
+            // window [head - margin, tail].
+            idle_min <= tail
+                && (idle_min + self.prewarm_margin_min >= head
+                    || idle_min < self.prewarm_margin_min)
+        } else {
+            idle_min <= self.fallback_keepalive_min
+        }
+    }
 }
 
 impl Default for HybridHistogramPolicy {
@@ -128,19 +145,7 @@ impl ScalingPolicy for HybridHistogramPolicy {
             .unwrap_or(1.0)
             .max(ctx.inflight as f64)
             .max(1.0);
-        let keep = if self.histogram.representable() {
-            let head = self.histogram.quantile(0.05);
-            let tail = self.histogram.quantile(0.99);
-            // Shut down inside (head - margin, ...] only when safely
-            // before the predicted next arrival; keep alive through the
-            // window [head - margin, tail].
-            idle_min <= tail
-                && (idle_min + self.prewarm_margin_min >= head
-                    || idle_min < self.prewarm_margin_min)
-        } else {
-            idle_min <= self.fallback_keepalive_min
-        };
-        if keep {
+        if self.keeps(idle_min) {
             ctx.pods_for_concurrency(capacity_needed)
         } else {
             0
@@ -178,22 +183,7 @@ impl ScalingPolicy for HybridHistogramPolicy {
             };
         };
         let interval_min = ctx.interval_ms as f64 / 60_000.0;
-        let representable = self.histogram.representable();
-        let (head, tail) = if representable {
-            (self.histogram.quantile(0.05), self.histogram.quantile(0.99))
-        } else {
-            (0.0, 0.0)
-        };
-        let keep_at = |units: usize| -> bool {
-            let idle_min = units as f64 * interval_min;
-            if representable {
-                idle_min <= tail
-                    && (idle_min + self.prewarm_margin_min >= head
-                        || idle_min < self.prewarm_margin_min)
-            } else {
-                idle_min <= self.fallback_keepalive_min
-            }
-        };
+        let keep_at = |units: usize| self.keeps(units as f64 * interval_min);
         let units0 = k - 1 - last;
         let keep0 = keep_at(units0);
         let mut run = 1u64;

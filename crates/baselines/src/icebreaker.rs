@@ -53,26 +53,7 @@ impl ScalingPolicy for IceBreakerPolicy {
         }
         let predicted_arrivals = self.fft.forecast(window, 1)[0];
         femux_obs::counter_add("baselines.icebreaker.fft_forecasts", 1);
-        if predicted_arrivals < 0.5 {
-            // FFT forecasts (almost) nothing: keep nothing warm. This is
-            // the failure mode the paper highlights for sparse apps.
-            return 0;
-        }
-        // Estimate concurrency demand from the observed ratio of
-        // concurrency to arrivals over the same window.
-        let total_arrivals: f64 = window.iter().sum();
-        let conc_window = &ctx.avg_concurrency
-            [ctx.avg_concurrency.len() - window.len()..];
-        let total_conc: f64 = conc_window.iter().sum();
-        let slot = 1.0 / f64::from(ctx.config.pod_concurrency());
-        let conc_per_arrival = if total_arrivals > 0.0 {
-            total_conc / total_arrivals
-        } else {
-            slot
-        };
-        // Never below one busy slot when traffic is predicted.
-        let predicted_conc = (predicted_arrivals * conc_per_arrival).max(slot);
-        ctx.pods_for_concurrency(predicted_conc)
+        crate::pods_for_arrivals(ctx, window, predicted_arrivals)
     }
 
     fn tick_idle(
@@ -83,11 +64,7 @@ impl ScalingPolicy for IceBreakerPolicy {
         max_ticks: u64,
     ) -> IdleRun {
         let ctx = idle.ctx(i, current_pods);
-        let n = ctx.arrivals.len();
-        let settled = n >= self.history
-            && ctx.arrivals[n - self.history..]
-                .iter()
-                .all(|&v| v == 0.0);
+        let settled = crate::settled(ctx.arrivals, self.history);
         let target = self.target_pods(&ctx);
         if !settled {
             // The forecast window is still growing or still contains

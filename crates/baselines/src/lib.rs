@@ -24,6 +24,47 @@ pub use faascache::{FaasCacheConfig, FaasCacheResult};
 pub use histogram::HybridHistogramPolicy;
 pub use icebreaker::IceBreakerPolicy;
 
+use femux_sim::policy::PolicyCtx;
+
+/// Converts a forecast of next-interval arrivals into pods, using the
+/// concurrency per arrival observed over `window`, the trailing
+/// arrivals the forecast was made from (the invocation-count
+/// representation of IceBreaker and Aquatope mapped onto the pod model).
+fn pods_for_arrivals(
+    ctx: &PolicyCtx<'_>,
+    window: &[f64],
+    predicted_arrivals: f64,
+) -> usize {
+    if predicted_arrivals < 0.5 {
+        // The forecast is (almost) nothing: keep nothing warm. This is
+        // the failure mode the paper highlights for sparse apps.
+        return 0;
+    }
+    // Estimate concurrency demand from the observed ratio of
+    // concurrency to arrivals over the same window.
+    let total_arrivals: f64 = window.iter().sum();
+    let conc_window =
+        &ctx.avg_concurrency[ctx.avg_concurrency.len() - window.len()..];
+    let total_conc: f64 = conc_window.iter().sum();
+    let slot = 1.0 / f64::from(ctx.config.pod_concurrency());
+    let conc_per_arrival = if total_arrivals > 0.0 {
+        total_conc / total_arrivals
+    } else {
+        slot
+    };
+    // Never below one busy slot when traffic is predicted.
+    let predicted_conc = (predicted_arrivals * conc_per_arrival).max(slot);
+    ctx.pods_for_concurrency(predicted_conc)
+}
+
+/// Whether the trailing `history` samples of `arrivals` are all there
+/// and all zero: every later tick of an idle stretch then hands the
+/// forecaster this same window.
+fn settled(arrivals: &[f64], history: usize) -> bool {
+    arrivals.len() >= history
+        && arrivals[arrivals.len() - history..].iter().all(|&v| v == 0.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -79,21 +79,6 @@ impl TieredDeployment {
     pub fn model_of(&self, app_index: usize) -> Arc<FemuxModel> {
         Arc::clone(&self.tier_of(app_index).model)
     }
-
-    /// Returns the tier names in order.
-    pub fn tier_names(&self) -> Vec<&'static str> {
-        self.tiers.iter().map(|t| t.name).collect()
-    }
-
-    /// Number of applications explicitly assigned per tier (the
-    /// remainder runs on the default tier).
-    pub fn assigned_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.tiers.len()];
-        for &t in self.assignment.values() {
-            counts[t] += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -145,8 +130,6 @@ mod tests {
         dep.assign(7, "premium");
         assert_eq!(dep.tier_of(7).name, "premium");
         assert_eq!(dep.tier_of(3).name, "regular");
-        assert_eq!(dep.assigned_counts(), vec![0, 1]);
-        assert_eq!(dep.tier_names(), vec!["regular", "premium"]);
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //!   +0 for ±0.
 //!
 //! The tests keep the transform path as the reference and check, with
-//! `to_bits`, that in an optimized build the early return and the clamp
-//! change no output of the identity sweep or of any all-zero window up
-//! to 120 samples.
+//! `to_bits`, that the early return and the clamp change no forecast
+//! (the prediction after [`crate::sanitize_forecast`]) of the identity
+//! sweep or of any all-zero window up to 120 samples, in any build.
 
 use femux_stats::fft::harmonic_extrapolate;
 
@@ -103,25 +103,20 @@ mod tests {
             windows.push((format!("zeros-{len}"), vec![0.0; len]));
             windows.push((format!("neg-zeros-{len}"), vec![-0.0; len]));
         }
+        let bits = |values: &[f64]| -> Vec<u64> {
+            values.iter().map(|v| v.to_bits()).collect()
+        };
         let mut fc = FftForecaster::paper();
         for (name, history) in &windows {
             for horizon in [1, 10] {
-                let got = fc.predict(history, horizon);
-                let want = reference_predict(history, 10, horizon);
-                assert_eq!(got.len(), want.len(), "{name}");
-                for (g, w) in got.iter().zip(&want) {
-                    // `max` leaves the sign of a zero to the backend. An
-                    // optimized build returns +0 here, as the new clamp
-                    // does; an unoptimized one returns -0.0 for a few
-                    // all-`-0.0` windows (lengths 1, 2 and 4).
-                    let backend_zero = cfg!(debug_assertions)
-                        && *w == 0.0
-                        && g.to_bits() == 0;
-                    assert!(
-                        g.to_bits() == w.to_bits() || backend_zero,
-                        "{name} at horizon {horizon}: {got:?} vs {want:?}"
-                    );
-                }
+                let got = fc.forecast(history, horizon);
+                let mut want = reference_predict(history, 10, horizon);
+                crate::sanitize_forecast(&mut want);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{name} at horizon {horizon}: {got:?} vs {want:?}"
+                );
             }
         }
     }

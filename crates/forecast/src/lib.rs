@@ -155,44 +155,24 @@ impl std::fmt::Display for ForecasterKind {
 }
 
 /// Clamps a forecast to the trait's output contract in place: every
-/// value finite and non-negative (`NaN`, `±∞`, and negatives become
-/// zero — zero, not a guess, because a forecaster emitting garbage has
-/// forfeited any claim about demand). It never changes the length;
-/// returning `horizon` entries is each [`Forecaster::predict`]'s job.
+/// value finite and non-negative, with one zero. Whatever is not a
+/// finite positive number (`NaN`, `±∞`, negatives, and `-0.0`) becomes
+/// `+0.0` — zero, not a guess, because a forecaster emitting garbage
+/// has forfeited any claim about demand, and `+0.0` whatever sign a
+/// model's arithmetic or its backend gave the zero. It never changes
+/// the length; returning `horizon` entries is each
+/// [`Forecaster::predict`]'s job.
 ///
 /// [`Forecaster::forecast`] applies this to every impl's prediction,
 /// so numerical blow-ups deep in a model (an unstable AR fit, an FFT
-/// overflow) can never leak past the trait boundary. Existing
-/// algorithmic clamps stay in place; this is the final backstop, not a
-/// replacement. It is idempotent, so a model that already clamps gets
-/// the same bits back.
+/// overflow) can never leak past the trait boundary, and a model needs
+/// no clamp of its own at its output. It is idempotent.
 pub fn sanitize_forecast(values: &mut [f64]) {
     for v in values {
-        if !v.is_finite() || *v < 0.0 {
+        if !(v.is_finite() && *v > 0.0) {
             *v = 0.0;
         }
     }
-}
-
-/// Simulates rolling one-step forecasts over a series: at each step `t >=
-/// warmup`, the forecaster sees `series[t - window .. t]` (or less during
-/// early steps) and predicts step `t`. Returns the prediction for every
-/// step in `warmup..series.len()`.
-///
-/// This is the workhorse of the offline pipeline ("simulate forecasts for
-/// 13k applications", §4.3.3) and of the RUM-vs-MAE studies.
-pub fn rolling_forecast(
-    forecaster: &mut dyn Forecaster,
-    series: &[f64],
-    window: usize,
-    warmup: usize,
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(series.len().saturating_sub(warmup));
-    for t in warmup..series.len() {
-        let start = t.saturating_sub(window);
-        out.push(forecaster.forecast(&series[start..t], 1)[0]);
-    }
-    out
 }
 
 /// History windows for the forecaster tests.
@@ -392,6 +372,30 @@ mod tests {
         assert_eq!(values, [1.5, 0.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
+    #[test]
+    fn no_forecast_is_negative_zero() {
+        // `f64::max` may return either of two equal zeros, so a model's
+        // own `max(0.0)` clamp leaves the sign of a zero forecast to the
+        // build; the trait boundary settles it.
+        let neg_zero = (-0.0f64).to_bits();
+        let mut windows = test_windows::sweep();
+        for len in 1..=120 {
+            windows.push((format!("neg-zeros-{len}"), vec![-0.0; len]));
+        }
+        for kind in ForecasterKind::ALL {
+            let mut f = kind.build();
+            for (name, history) in &windows {
+                for horizon in [1, 10] {
+                    let pred = f.forecast(history, horizon);
+                    assert!(
+                        pred.iter().all(|v| v.to_bits() != neg_zero),
+                        "{kind} on {name} at horizon {horizon}: {pred:?}"
+                    );
+                }
+            }
+        }
+    }
+
     /// A model that predicts garbage: the provided `forecast` must clean
     /// it up without the impl's help.
     struct Garbage;
@@ -456,19 +460,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn rolling_forecast_shape_and_causality() {
-        // A forecaster that echoes the last value should produce a
-        // shifted copy of the series, proving no lookahead.
-        let series: Vec<f64> = (0..50).map(|t| t as f64).collect();
-        let mut naive = simple::NaiveForecaster;
-        let preds = rolling_forecast(&mut naive, &series, 10, 5);
-        assert_eq!(preds.len(), 45);
-        for (k, p) in preds.iter().enumerate() {
-            assert_eq!(*p, (k + 4) as f64);
         }
     }
 

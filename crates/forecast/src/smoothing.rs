@@ -141,7 +141,7 @@ impl Forecaster for SesForecaster {
             return vec![0.0; horizon];
         }
         if history.len() == 1 {
-            return vec![history[0].max(0.0); horizon];
+            return vec![history[0]; horizon];
         }
         let (level, sse) = ses_lanes(history);
         // The first minimum SSE wins; a lane whose SSE went NaN (its
@@ -152,8 +152,7 @@ impl Forecaster for SesForecaster {
                 best = Some(l);
             }
         }
-        let level = best.map_or(0.0, |b| level[b]);
-        vec![level.max(0.0); horizon]
+        vec![best.map_or(0.0, |b| level[b]); horizon]
     }
 }
 
@@ -270,7 +269,7 @@ impl Forecaster for HoltForecaster {
             return vec![0.0; horizon];
         }
         if history.len() < 3 {
-            return vec![history[history.len() - 1].max(0.0); horizon];
+            return vec![history[history.len() - 1]; horizon];
         }
         let (start, level0, trend0) = lane_start(history);
         let run = &history[start..];
@@ -303,9 +302,7 @@ impl Forecaster for HoltForecaster {
         }
         self.memo = Some(memo);
         let (_, level, trend) = best;
-        (1..=horizon)
-            .map(|h| (level + trend * h as f64).max(0.0))
-            .collect()
+        (1..=horizon).map(|h| level + trend * h as f64).collect()
     }
 }
 

@@ -83,11 +83,6 @@ impl KpaPolicy {
         }
     }
 
-    /// Returns whether the policy is currently in panic mode.
-    pub fn is_panicking(&self) -> bool {
-        self.panicking_since.is_some()
-    }
-
     /// Average over the trailing window, counting finite samples only —
     /// lost reports (`NaN`) neither poison nor dilute the average.
     fn window_avg(&self, series: &[f64], window_ms: u64) -> f64 {

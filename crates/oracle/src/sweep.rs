@@ -19,8 +19,8 @@ use crate::engine::reference_simulate;
 use crate::invariants;
 use femux_sim::{
     simulate_app, ClusterConfig, FixedPolicy, ForecastPolicy,
-    KeepAlivePolicy, KnativeDefaultPolicy, NodeConfig, PlacementKind,
-    ScalingPolicy, SimConfig, ZeroPolicy,
+    KeepAlivePolicy, KnativeDefaultPolicy, NodeConfig, ScalingPolicy,
+    SimConfig, ZeroPolicy,
 };
 use femux_stats::rng::Rng;
 use femux_trace::types::{
@@ -93,20 +93,15 @@ pub enum ClusterVariant {
     ///
     /// [`Free`]: ClusterVariant::Free
     Unbounded,
-    /// Two small nodes under best-fit: bursty apps hit placement
-    /// denials, evictions, and saturated overcommits.
+    /// Two small nodes: bursty apps hit placement denials, evictions,
+    /// and saturated overcommits.
     Tight,
-    /// The same two small nodes under round-robin placement.
-    TightRoundRobin,
 }
 
 impl ClusterVariant {
     /// The variants that actually install a cluster.
-    pub const CLUSTERED: [ClusterVariant; 3] = [
-        ClusterVariant::Unbounded,
-        ClusterVariant::Tight,
-        ClusterVariant::TightRoundRobin,
-    ];
+    pub const CLUSTERED: [ClusterVariant; 2] =
+        [ClusterVariant::Unbounded, ClusterVariant::Tight];
 
     /// The [`SimConfig::cluster`] value for this variant.
     pub fn config(self) -> Option<ClusterConfig> {
@@ -122,11 +117,6 @@ impl ClusterVariant {
             ClusterVariant::Tight => {
                 Some(ClusterConfig::uniform(2, tight()))
             }
-            ClusterVariant::TightRoundRobin => {
-                let mut cc = ClusterConfig::uniform(2, tight());
-                cc.placement = PlacementKind::RoundRobin;
-                Some(cc)
-            }
         }
     }
 
@@ -136,7 +126,6 @@ impl ClusterVariant {
             ClusterVariant::Free => "free",
             ClusterVariant::Unbounded => "cluster-unbounded",
             ClusterVariant::Tight => "cluster-tight",
-            ClusterVariant::TightRoundRobin => "cluster-tight-rr",
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Cluster model: nodes with finite core/memory capacity, pluggable pod
+//! Cluster model: nodes with finite core/memory capacity, best-fit pod
 //! placement, memory-pressure eviction accounting, and node fault domains.
 //!
 //! The cluster is a *per-app* construct: each `simulate_app` run instantiates
@@ -11,9 +11,8 @@
 //! Contracts (pinned by the oracle gate and DESIGN.md):
 //! - Every pod in the engine's pod vector is resident on exactly one node
 //!   while the cluster layer is enabled; `sum(node_pod_ms) == alive_pod_ms`.
-//! - Placement is deterministic: `BestFit` picks the fitting up-node with the
-//!   least free memory after the scan (ties -> lowest index); `RoundRobin`
-//!   scans circularly from a cursor that advances only on success.
+//! - Placement is deterministic best fit: the fitting up-node with the least
+//!   free memory (ties -> lowest index), a pure function of the node array.
 //! - Conservation: `placed == evictions + scaled_down + pods_displaced +
 //!   resident_end`. Saturated overcommits never enter the ledger because no
 //!   pod is created.
@@ -37,24 +36,16 @@ impl NodeConfig {
     }
 }
 
-/// Which shipped placement policy to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementKind {
-    BestFit,
-    RoundRobin,
-}
-
 /// Cluster shape shared across apps; cheap to clone per app run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterConfig {
     pub nodes: Vec<NodeConfig>,
-    pub placement: PlacementKind,
 }
 
 impl ClusterConfig {
-    /// `n` identical nodes under best-fit placement.
+    /// `n` identical nodes.
     pub fn uniform(n: usize, node: NodeConfig) -> Self {
-        Self { nodes: vec![node; n], placement: PlacementKind::BestFit }
+        Self { nodes: vec![node; n] }
     }
 
     /// The backward-compat configuration: one node of infinite capacity.
@@ -127,72 +118,16 @@ pub enum ReleaseReason {
     NodeCrash,
 }
 
-/// Deterministic placement strategy. `pick` may mutate internal state (e.g.
-/// the round-robin cursor) but must be a pure function of that state plus the
-/// node array — no ambient randomness, so the engine and the oracle agree.
-pub trait PlacementPolicy: Send {
-    fn pick(&mut self, nodes: &[Node], req: PodRequest) -> Option<usize>;
-}
-
-/// Fitting up-node with the least free memory (tightest fit); ties resolve to
-/// the lowest node index.
-pub struct BestFit;
-
-impl PlacementPolicy for BestFit {
-    fn pick(&mut self, nodes: &[Node], req: PodRequest) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for (i, n) in nodes.iter().enumerate() {
-            if !n.fits(req) {
-                continue;
-            }
-            let key = n.free_mem_mb();
-            match best {
-                Some((k, _)) if k <= key => {}
-                _ => best = Some((key, i)),
-            }
+/// Best fit: the fitting up-node with the least free memory (the tightest
+/// fit); ties resolve to the lowest node index.
+fn best_fit(nodes: &[Node], req: PodRequest) -> Option<usize> {
+    let mut best: Option<(u64, usize)> = None;
+    for (i, n) in nodes.iter().enumerate() {
+        if n.fits(req) && best.is_none_or(|(free, _)| n.free_mem_mb() < free) {
+            best = Some((n.free_mem_mb(), i));
         }
-        best.map(|(_, i)| i)
     }
-}
-
-/// Circular scan from a cursor that advances past each successful placement.
-/// A failed scan leaves the cursor untouched so a later retry sees the same
-/// order.
-pub struct RoundRobin {
-    cursor: usize,
-}
-
-impl RoundRobin {
-    pub fn new() -> Self {
-        Self { cursor: 0 }
-    }
-}
-
-impl Default for RoundRobin {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PlacementPolicy for RoundRobin {
-    fn pick(&mut self, nodes: &[Node], req: PodRequest) -> Option<usize> {
-        let n = nodes.len();
-        for step in 0..n {
-            let i = (self.cursor + step) % n;
-            if nodes[i].fits(req) {
-                self.cursor = (i + 1) % n;
-                return Some(i);
-            }
-        }
-        None
-    }
-}
-
-fn make_policy(kind: PlacementKind) -> Box<dyn PlacementPolicy> {
-    match kind {
-        PlacementKind::BestFit => Box::new(BestFit),
-        PlacementKind::RoundRobin => Box::new(RoundRobin::new()),
-    }
+    best.map(|(_, i)| i)
 }
 
 /// Final cluster observables attached to `SimResult`. Compared exactly (f64
@@ -262,7 +197,6 @@ impl ClusterOutcome {
 /// records it.
 pub struct Cluster {
     nodes: Vec<Node>,
-    policy: Box<dyn PlacementPolicy>,
     req: PodRequest,
     /// Whether `req` fits no node even empty and up.
     fits_nowhere: bool,
@@ -286,7 +220,6 @@ impl Cluster {
         Self {
             fits_nowhere: !nodes.iter().any(|n| n.fits(req)),
             nodes,
-            policy: make_policy(cfg.placement),
             req,
             pod_node: BTreeMap::new(),
             node_pod_ms: vec![0; cfg.nodes.len()],
@@ -321,7 +254,7 @@ impl Cluster {
 
     /// Try to place pod `uid`; returns the chosen node on success.
     pub fn try_place(&mut self, uid: u64) -> Option<usize> {
-        let i = self.policy.pick(&self.nodes, self.req)?;
+        let i = best_fit(&self.nodes, self.req)?;
         let n = &mut self.nodes[i];
         n.used_cpu_milli = n.used_cpu_milli.saturating_add(self.req.cpu_milli);
         n.used_mem_mb = n.used_mem_mb.saturating_add(self.req.mem_mb);
@@ -346,10 +279,6 @@ impl Cluster {
             ReleaseReason::NodeCrash => self.pods_displaced += 1,
         }
         i
-    }
-
-    pub fn node_of(&self, uid: u64) -> Option<usize> {
-        self.pod_node.get(&uid).copied()
     }
 
     /// Whether any up-node currently fits one more pod.
@@ -457,23 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles_and_skips_full_nodes() {
-        let cfg = ClusterConfig {
-            nodes: vec![NodeConfig { cpu_milli: 8000, mem_mb: 100 }; 3],
-            placement: PlacementKind::RoundRobin,
-        };
-        let mut c = Cluster::new(&cfg, REQ);
-        assert_eq!(c.try_place(0), Some(0));
-        assert_eq!(c.try_place(1), Some(1));
-        assert_eq!(c.try_place(2), Some(2));
-        // All full now (one pod each at 100/100 MiB).
-        assert_eq!(c.try_place(3), None);
-        c.release(1, ReleaseReason::ScaledDown);
-        // Cursor sits at node 0 (wrapped); node 1 is the only fit.
-        assert_eq!(c.try_place(4), Some(1));
-    }
-
-    #[test]
     fn occupancy_integral_is_segment_exact() {
         let cfg = small(2, 1000);
         let mut c = Cluster::new(&cfg, REQ);
@@ -564,7 +476,8 @@ mod tests {
         }
         c.release(0, ReleaseReason::Evicted);
         c.release(1, ReleaseReason::ScaledDown);
-        c.crash_node(c.node_of(2).unwrap(), 1000);
+        // Best fit fills node 0 first, so uid 2 is there.
+        c.crash_node(0, 1000);
         let out = c.into_outcome(5000);
         assert_eq!(out.placed, 12);
         assert!(out.conserved());

@@ -282,10 +282,6 @@ struct Pod {
     /// while `warm_at` is in the future: once warm, the pod's load is
     /// tracked by the aggregate in-flight pool like every other pod's.
     queued: u64,
-    /// Whether arrivals may queue on this pod while it warms. True for
-    /// reactively spawned cold-start pods, false for proactive spawns
-    /// (not routable until ready) and min-scale pods.
-    joinable: bool,
     /// Whether a pod-warm event for the *current* `warm_at` is
     /// outstanding in the event queue. Events are deleted lazily: a
     /// popped event only settles the pod if this flag is still set and
@@ -350,6 +346,8 @@ struct Engine<'a> {
     warm_events: BinaryHeap<Reverse<(u64, u64)>>,
     /// Warming joinable pods with spare per-pod concurrency, ordered by
     /// `(warm_at, uid)`: `first()` is the soonest-warm join candidate.
+    /// Only reactive cold-start pods join: proactive spawns are not
+    /// routable until ready, and restarts accept no joiners.
     /// The uid tie-break equals the old pod-vector-order tie-break
     /// because joinable pods enter the vector in uid order and, having
     /// pinned requests, are protected — so the eviction sort (stable,
@@ -358,8 +356,7 @@ struct Engine<'a> {
     /// Requests pinned to still-warming pods — the incrementally
     /// maintained replacement for the `waiting_on_warming` scan.
     waiting: u64,
-    /// Pod uid → current index in `pods` (rebuilt after eviction
-    /// sorts).
+    /// Pod uid → current index in `pods` (see [`Engine::reindex_from`]).
     index_of: BTreeMap<u64, usize>,
     stats: EngineStats,
     /// Numeric app id, the sampler's first key component.
@@ -466,6 +463,115 @@ impl Engine<'_> {
         }
     }
 
+    /// Brings a new pod into existence at `t`, warm `cold` ms later and
+    /// protected until `keep_until`, with `queued` requests pinned to it:
+    /// assigns its uid, indexes it, and starts its crash schedule and its
+    /// warm-up. Every spawn comes through here (the min-scale floor,
+    /// reactive and proactive spawns, restarts after a node crash); the
+    /// caller has already placed the pod on the cluster, when one is
+    /// modeled, under the uid it gets: `self.next_uid`. Returns the uid.
+    fn add_pod(
+        &mut self,
+        t: u64,
+        cold: u64,
+        keep_until: u64,
+        queued: u64,
+        origin: PodOrigin,
+    ) -> u64 {
+        let uid = self.next_uid;
+        self.next_uid += 1;
+        self.pods.push(Pod {
+            uid,
+            warm_at: t + cold,
+            keep_until,
+            queued,
+            warm_pending: false,
+            origin,
+        });
+        let idx = self.pods.len() - 1;
+        self.index_of.insert(uid, idx);
+        self.schedule_pod(uid, t);
+        self.schedule_warm(idx, t);
+        uid
+    }
+
+    /// Starts the warm-up of the pod at `idx`, due at its `warm_at`: a
+    /// pod already warm at `t` joins the warm count at once; any other
+    /// gets a pod-warm event, and its pinned requests wait on it until
+    /// [`Self::settle_warm`] releases them.
+    fn schedule_warm(&mut self, idx: usize, t: u64) {
+        let pod = &mut self.pods[idx];
+        pod.warm_pending = pod.warm_at > t;
+        if pod.warm_pending {
+            self.warm_events.push(Reverse((pod.warm_at, pod.uid)));
+            self.waiting += pod.queued;
+        } else {
+            self.warm_pods += 1;
+        }
+    }
+
+    /// Takes pod `p`, which leaves the fleet or restarts at `t`, out of
+    /// the aggregates: a warm pod out of the warm count, a warming one out
+    /// of the join set and its pinned requests out of the waiting total
+    /// (they were billed their delay at admission). Its outstanding warm
+    /// event, if any, goes stale and [`Self::settle_warm`] skips it.
+    fn unsettle(&mut self, p: Pod, t: u64) {
+        if p.warm_at > t {
+            self.waiting -= p.queued;
+            self.joinable.remove(&(p.warm_at, p.uid));
+        } else {
+            self.warm_pods -= 1;
+        }
+    }
+
+    /// Points `index_of` at the pods from position `first` on, after a
+    /// removal or a sort moved them; the entries before `first` stand.
+    fn reindex_from(&mut self, first: usize) {
+        for (i, p) in self.pods.iter().enumerate().skip(first) {
+            self.index_of.insert(p.uid, i);
+        }
+    }
+
+    /// Bills the request arriving at `t` a cold start that kept it
+    /// waiting `wait` ms, whether it joined a warming pod, spawned one,
+    /// or ran overcommitted.
+    fn bill_cold_start(&mut self, t: u64, wait: u64) {
+        self.costs.cold_starts += 1;
+        self.costs.cold_start_seconds += wait as f64 / 1_000.0;
+        femux_obs::counter_add("sim.cold_starts", 1);
+        femux_obs::observe("sim.cold_start_wait_ms", wait);
+        if let Some(track) = &self.track {
+            // The span covers the queueing delay the request pays
+            // while its pod initializes (virtual time, µs).
+            femux_obs::span(
+                track,
+                "sim",
+                "cold-start",
+                t * 1_000,
+                wait * 1_000,
+                &[("wait_ms", wait)],
+            );
+        }
+    }
+
+    /// Closes the current interval, `len_ms` long, into the per-interval
+    /// series: its average concurrency (`NaN` when its report was
+    /// `lost`), its peak and its arrivals. The next interval's peak
+    /// starts from the requests in flight.
+    fn close_interval(&mut self, len_ms: u64, lost: bool) {
+        let avg = if lost {
+            f64::NAN
+        } else {
+            self.interval_conc_ms / len_ms as f64
+        };
+        self.avg_concurrency.push(avg);
+        self.peak_concurrency.push(self.interval_peak);
+        self.arrivals.push(self.interval_arrivals);
+        self.interval_conc_ms = 0.0;
+        self.interval_peak = self.inflight.len() as f64;
+        self.interval_arrivals = 0.0;
+    }
+
     fn on_arrival(&mut self, inv: &Invocation, index: u64, interval_end: u64) {
         let t = inv.start_ms;
         self.advance(t);
@@ -522,20 +628,7 @@ impl Engine<'_> {
                     );
                 }
             }
-            self.costs.cold_starts += 1;
-            self.costs.cold_start_seconds += wait as f64 / 1_000.0;
-            femux_obs::counter_add("sim.cold_starts", 1);
-            femux_obs::observe("sim.cold_start_wait_ms", wait);
-            if let Some(track) = &self.track {
-                femux_obs::span(
-                    track,
-                    "sim",
-                    "cold-start",
-                    t * 1_000,
-                    wait * 1_000,
-                    &[("wait_ms", wait)],
-                );
-            }
+            self.bill_cold_start(t, wait);
             wait
         } else {
             // Cold start: the cluster (when modeled) must find room
@@ -548,151 +641,94 @@ impl Engine<'_> {
             if self.cluster.is_some() {
                 match self.place_reactive(t, self.next_uid) {
                     ReactiveSlot::Placed { node, victim } => {
-                        if let Some(v) = victim {
-                            evicted = Some((v, node));
-                        }
+                        evicted = victim.map(|v| (v, node));
                     }
                     ReactiveSlot::Saturated => saturated = true,
                 }
             }
+            let mut cold = self.cold_ms as u64;
             if saturated {
                 // Saturated overcommit: the request still runs and pays
                 // a full — never straggled — cold start, but no pod is
                 // created (the straggler draw contract is one draw per
                 // pod *spawn*, and nothing spawned).
-                let cold = self.cold_ms as u64;
                 if sampled {
                     cause = Some(WaitCause::Saturated);
                 }
-                self.costs.cold_starts += 1;
-                self.costs.cold_start_seconds += cold as f64 / 1_000.0;
-                femux_obs::counter_add("sim.cold_starts", 1);
-                femux_obs::observe("sim.cold_start_wait_ms", cold);
-                if let Some(track) = &self.track {
-                    femux_obs::span(
-                        track,
-                        "sim",
-                        "cold-start",
-                        t * 1_000,
-                        cold * 1_000,
-                        &[("wait_ms", cold)],
-                    );
-                }
-                self.inflight.push(Reverse(t + cold + dur));
-                self.interval_peak =
-                    self.interval_peak.max(self.inflight.len() as f64);
-                self.costs.invocations += 1;
-                femux_obs::counter_add("sim.invocations", 1);
-                self.costs.exec_seconds += dur as f64 / 1_000.0;
-                self.costs.service_seconds +=
-                    (cold + dur) as f64 / 1_000.0;
-                if self.cfg.record_delays {
-                    self.delays.push(cold as f64 / 1_000.0);
-                }
-                if let Some(cause) = cause {
-                    self.record_span(t, index, cold, dur, cause);
-                }
-                return;
-            }
-            // Spawn a pod now; it is protected until the end of the
-            // current interval and until this request completes.
-            let mut cold = self.cold_ms as u64;
-            // One straggler draw per cold-start pod spawn, keyed by the
-            // pod: the request pays the inflated latency and the
-            // cold-start seconds account for it.
-            if let Some(faults) = self.faults.as_mut() {
-                if let Some(factor) = faults.straggle(self.next_uid) {
-                    #[expect(
-                        clippy::cast_possible_truncation,
-                        reason = "rounds an inflated cold-start latency in ms, far below u64::MAX"
-                    )]
-                    let inflated =
-                        (cold as f64 * factor).round() as u64;
-                    femux_obs::observe(
-                        "fault.straggler_extra_ms",
-                        inflated.saturating_sub(cold),
-                    );
-                    cold = inflated;
-                }
-            }
-            let end = t + cold + dur;
-            let uid = self.next_uid;
-            self.next_uid += 1;
-            let warm_at = t + cold;
-            self.pods.push(Pod {
-                uid,
-                warm_at,
-                keep_until: interval_end.max(end),
-                queued: 1,
-                joinable: true,
-                warm_pending: cold > 0,
-                origin: PodOrigin::Reactive { at_ms: t },
-            });
-            self.index_of.insert(uid, self.pods.len() - 1);
-            self.schedule_pod(uid, t);
-            if self.sampler.is_some() {
-                if let Some(track) = &self.track {
-                    // Flow start: every reactive spawn anchors a causal
-                    // arrow; later sampled joiners bind to it with flow
-                    // steps. Emitted for unsampled spawns too (a sampled
-                    // join may reference a pod an unsampled arrival
-                    // spawned), but only while the span layer is on.
-                    femux_obs::flow(
-                        track,
-                        "span",
-                        "pod-spawn",
-                        t * 1_000,
-                        FlowPhase::Start,
-                        femux_obs::span::flow_id(track, uid),
-                    );
-                }
-            }
-            if sampled {
-                cause = Some(match evicted {
-                    Some((victim, node)) => WaitCause::Evicted {
-                        node: node as u64,
-                        victim_pod: victim,
-                    },
-                    None => WaitCause::FreshSpawn { pod_uid: uid },
-                });
-                if let Some(track) = &self.track {
-                    femux_obs::flow(
-                        track,
-                        "span",
-                        "join",
-                        t * 1_000,
-                        FlowPhase::Step,
-                        femux_obs::span::flow_id(track, uid),
-                    );
-                }
-            }
-            if cold > 0 {
-                self.warm_events.push(Reverse((warm_at, uid)));
-                self.waiting += 1;
-                if 1 < self.concurrency {
-                    self.joinable.insert((warm_at, uid));
-                }
             } else {
-                // Instantly warm: never enters the event queue (and a
-                // pod that is already warm is not joinable).
-                self.warm_pods += 1;
-            }
-            self.costs.cold_starts += 1;
-            self.costs.cold_start_seconds += cold as f64 / 1_000.0;
-            femux_obs::counter_add("sim.cold_starts", 1);
-            femux_obs::observe("sim.cold_start_wait_ms", cold);
-            if let Some(track) = &self.track {
-                // The span covers the queueing delay the request pays
-                // while its pod initializes (virtual time, µs).
-                femux_obs::span(
-                    track,
-                    "sim",
-                    "cold-start",
-                    t * 1_000,
-                    cold * 1_000,
-                    &[("wait_ms", cold)],
+                // One straggler draw per cold-start pod spawn, keyed by
+                // the pod: the request pays the inflated latency and the
+                // cold-start seconds account for it.
+                if let Some(faults) = self.faults.as_mut() {
+                    if let Some(factor) = faults.straggle(self.next_uid) {
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "rounds an inflated cold-start latency in ms, far below u64::MAX"
+                        )]
+                        let inflated =
+                            (cold as f64 * factor).round() as u64;
+                        femux_obs::observe(
+                            "fault.straggler_extra_ms",
+                            inflated.saturating_sub(cold),
+                        );
+                        cold = inflated;
+                    }
+                }
+                // Spawn a pod now, with the request pinned to it; it is
+                // protected until the end of the current interval and
+                // until this request completes.
+                let uid = self.add_pod(
+                    t,
+                    cold,
+                    interval_end.max(t + cold + dur),
+                    1,
+                    PodOrigin::Reactive { at_ms: t },
                 );
+                if cold > 0 && 1 < self.concurrency {
+                    // Spare per-pod concurrency: later arrivals may
+                    // queue on it while it warms (a pod that is already
+                    // warm is not joinable).
+                    self.joinable.insert((t + cold, uid));
+                }
+                if self.sampler.is_some() {
+                    if let Some(track) = &self.track {
+                        // Flow start: every reactive spawn anchors a
+                        // causal arrow; later sampled joiners bind to it
+                        // with flow steps. Emitted for unsampled spawns
+                        // too (a sampled join may reference a pod an
+                        // unsampled arrival spawned), but only while the
+                        // span layer is on.
+                        femux_obs::flow(
+                            track,
+                            "span",
+                            "pod-spawn",
+                            t * 1_000,
+                            FlowPhase::Start,
+                            femux_obs::span::flow_id(track, uid),
+                        );
+                    }
+                }
+                if sampled {
+                    cause = Some(match evicted {
+                        Some((victim, node)) => WaitCause::Evicted {
+                            node: node as u64,
+                            victim_pod: victim,
+                        },
+                        None => WaitCause::FreshSpawn { pod_uid: uid },
+                    });
+                    if let Some(track) = &self.track {
+                        femux_obs::flow(
+                            track,
+                            "span",
+                            "join",
+                            t * 1_000,
+                            FlowPhase::Step,
+                            femux_obs::span::flow_id(track, uid),
+                        );
+                    }
+                }
             }
+            self.bill_cold_start(t, cold);
             cold
         };
         self.inflight.push(Reverse(t + delay_ms + dur));
@@ -760,15 +796,10 @@ impl Engine<'_> {
         let cl = self.cluster.as_mut().expect("cluster layer on");
         let node = cl.release(victim_uid, ReleaseReason::Evicted);
         femux_obs::counter_add("evict.evictions", 1);
-        // The victim is warm (settled) so it sits in the warm count and
-        // nowhere else; its orphaned warm events (if any) are lazily
-        // skipped once the uid leaves `index_of`.
-        self.warm_pods -= 1;
-        self.pods.remove(victim_idx);
-        self.index_of.clear();
-        for (i, p) in self.pods.iter().enumerate() {
-            self.index_of.insert(p.uid, i);
-        }
+        let p = self.pods.remove(victim_idx);
+        self.index_of.remove(&victim_uid);
+        self.unsettle(p, t);
+        self.reindex_from(victim_idx);
         if let Some(track) = &self.track {
             femux_obs::instant(
                 track,
@@ -794,35 +825,20 @@ impl Engine<'_> {
     /// after a node crash (the cluster already released them). Admitted
     /// in-flight work keeps its original completion time — the same
     /// simplification the pod-level crash layer makes — but queued
-    /// joiners on still-warming pods are dropped from the waiting count
-    /// (they were already billed their delay at admission). `uids` are
-    /// one node's residents, ascending as [`Cluster::crash_node`]
-    /// returns them; only the pods at or after the first one removed
-    /// move, so only they re-index.
+    /// joiners on still-warming pods are dropped from the waiting count.
+    /// `uids` are one node's residents, ascending as
+    /// [`Cluster::crash_node`] returns them; only the pods at or after
+    /// the first one removed move, so only they re-index.
     fn remove_displaced(&mut self, uids: &[u64], t: u64) {
         debug_assert!(uids.is_sorted(), "displaced uids are ascending");
         let mut first = self.pods.len();
         for uid in uids {
             let idx = self.index_of.remove(uid).expect("a displaced pod");
             first = first.min(idx);
-            let p = self.pods[idx];
-            if p.warm_at > t {
-                self.waiting -= p.queued;
-                self.joinable.remove(&(p.warm_at, p.uid));
-            } else {
-                self.warm_pods -= 1;
-            }
+            self.unsettle(self.pods[idx], t);
         }
-        let mut kept = first;
-        for i in first..self.pods.len() {
-            let p = self.pods[i];
-            if uids.binary_search(&p.uid).is_err() {
-                self.pods[kept] = p;
-                self.index_of.insert(p.uid, kept);
-                kept += 1;
-            }
-        }
-        self.pods.truncate(kept);
+        self.pods.retain(|p| uids.binary_search(&p.uid).is_err());
+        self.reindex_from(first);
         self.displaced_pending += uids.len() as u64;
     }
 
@@ -960,24 +976,12 @@ impl Engine<'_> {
             // times — the crash never re-delays admitted work, a
             // deliberate simplification).
             let i = self.index_of[uid];
-            let old = self.pods[i];
-            if old.warm_at > t {
-                self.waiting -= old.queued;
-                self.joinable.remove(&(old.warm_at, old.uid));
-            } else {
-                self.warm_pods -= 1;
-            }
+            self.unsettle(self.pods[i], t);
             let pod = &mut self.pods[i];
             pod.warm_at = t + cold;
             pod.keep_until = pod.keep_until.max(t);
             pod.queued = 0;
-            pod.joinable = false;
-            pod.warm_pending = cold > 0;
-            if cold > 0 {
-                self.warm_events.push(Reverse((t + cold, old.uid)));
-            } else {
-                self.warm_pods += 1;
-            }
+            self.schedule_warm(i, t);
         }
         if let Some(track) = &self.track {
             femux_obs::instant(
@@ -1050,28 +1054,11 @@ impl Engine<'_> {
             let cold = self.cold_ms as u64;
             let mut restarted = 0u64;
             while self.displaced_pending > 0 {
-                let uid = self.next_uid;
-                if cl.try_place(uid).is_none() {
+                if cl.try_place(self.next_uid).is_none() {
                     break;
                 }
                 cl.node_restarts += 1;
-                self.next_uid += 1;
-                self.pods.push(Pod {
-                    uid,
-                    warm_at: t + cold,
-                    keep_until: t,
-                    queued: 0,
-                    joinable: false,
-                    warm_pending: cold > 0,
-                    origin: PodOrigin::Restarted { at_ms: t },
-                });
-                self.index_of.insert(uid, self.pods.len() - 1);
-                self.schedule_pod(uid, t);
-                if cold > 0 {
-                    self.warm_events.push(Reverse((t + cold, uid)));
-                } else {
-                    self.warm_pods += 1;
-                }
+                self.add_pod(t, cold, t, 0, PodOrigin::Restarted { at_ms: t });
                 self.displaced_pending -= 1;
                 restarted += 1;
                 if let Some(track) = &self.track {
@@ -1188,18 +1175,12 @@ impl Engine<'_> {
         // Close the completed interval's observations. A lost report
         // surfaces as a NaN average-concurrency sample: the policy must
         // cope with a missing queue-proxy report.
-        let mut avg = self.interval_conc_ms / self.cfg.interval_ms as f64;
-        if let Some(faults) = self.faults.as_mut() {
-            if faults.lose_report(tick_index(t, self.cfg.interval_ms)) {
-                avg = f64::NAN;
-            }
-        }
-        self.avg_concurrency.push(avg);
-        self.peak_concurrency.push(self.interval_peak);
-        self.arrivals.push(self.interval_arrivals);
-        self.interval_conc_ms = 0.0;
-        self.interval_peak = self.inflight.len() as f64;
-        self.interval_arrivals = 0.0;
+        let interval = self.cfg.interval_ms;
+        let lost = self
+            .faults
+            .as_mut()
+            .is_some_and(|f| f.lose_report(tick_index(t, interval)));
+        self.close_interval(interval, lost);
         if self.node_faults.is_some() {
             self.node_tick(t);
         }
@@ -1284,28 +1265,11 @@ impl Engine<'_> {
                     femux_obs::counter_add("sim.scale_limit_denials", 1);
                     break;
                 }
-                let uid = self.next_uid;
-                self.next_uid += 1;
                 if let Some(cl) = self.cluster.as_mut() {
-                    let placed = cl.try_place(uid);
+                    let placed = cl.try_place(self.next_uid);
                     debug_assert!(placed.is_some(), "can_place pre-checked");
                 }
-                self.pods.push(Pod {
-                    uid,
-                    warm_at: t + cold,
-                    keep_until: t,
-                    queued: 0,
-                    joinable: false,
-                    warm_pending: cold > 0,
-                    origin: PodOrigin::Proactive { at_ms: t },
-                });
-                self.index_of.insert(uid, self.pods.len() - 1);
-                self.schedule_pod(uid, t);
-                if cold > 0 {
-                    self.warm_events.push(Reverse((t + cold, uid)));
-                } else {
-                    self.warm_pods += 1;
-                }
+                self.add_pod(t, cold, t, 0, PodOrigin::Proactive { at_ms: t });
             }
             let spawned = self.pods.len() - current;
             if spawned > 0 {
@@ -1354,27 +1318,19 @@ impl Engine<'_> {
                 let keep = floor.max(protected);
                 for i in keep..self.pods.len() {
                     let p = self.pods[i];
-                    if p.warm_at > t {
-                        // Still-warming evictees are proactive spawns
-                        // that never became routable: nothing pinned
-                        // (pods with pinned requests are protected).
-                        debug_assert_eq!(p.queued, 0);
-                        self.joinable.remove(&(p.warm_at, p.uid));
-                    } else {
-                        self.warm_pods -= 1;
-                    }
+                    // Still-warming evictees are proactive spawns that
+                    // never became routable: nothing pinned (pods with
+                    // pinned requests are protected).
+                    debug_assert!(p.warm_at <= t || p.queued == 0);
+                    self.unsettle(p, t);
+                    self.index_of.remove(&p.uid);
                     if let Some(cl) = self.cluster.as_mut() {
                         cl.release(p.uid, ReleaseReason::ScaledDown);
                     }
                 }
                 self.pods.truncate(keep);
-                // The sort shuffled vector positions; rebuild the uid
-                // index (evicted uids drop out, orphaning their queued
-                // warm events for lazy deletion).
-                self.index_of.clear();
-                for (i, p) in self.pods.iter().enumerate() {
-                    self.index_of.insert(p.uid, i);
-                }
+                // The sort shuffled vector positions.
+                self.reindex_from(0);
             }
             let removed = current - self.pods.len();
             if removed > 0 {
@@ -1460,10 +1416,7 @@ impl Engine<'_> {
         // exact zero (nothing arrives, nothing completes, nothing is in
         // flight).
         let base = self.avg_concurrency.len();
-        self.avg_concurrency
-            .push(self.interval_conc_ms / interval as f64);
-        self.peak_concurrency.push(self.interval_peak);
-        self.arrivals.push(self.interval_arrivals);
+        self.close_interval(interval, false);
         #[expect(
             clippy::cast_possible_truncation,
             reason = "`n` ticks extend in-memory series, so it fits usize"
@@ -1472,9 +1425,6 @@ impl Engine<'_> {
         self.avg_concurrency.resize(total, 0.0);
         self.peak_concurrency.resize(total, 0.0);
         self.arrivals.resize(total, 0.0);
-        self.interval_conc_ms = 0.0;
-        self.interval_peak = 0.0;
-        self.interval_arrivals = 0.0;
         let min_pods = if self.cfg.respect_min_scale {
             self.min_scale
         } else {
@@ -1690,7 +1640,7 @@ fn simulate(
     // per-app simulations stay order-independent. Pods are uniform
     // within an app — every placement request carries the app's own
     // cpu/memory demand.
-    let mut cluster = cfg.cluster.as_ref().map(|cc| {
+    let cluster = cfg.cluster.as_ref().map(|cc| {
         Cluster::new(
             cc,
             PodRequest {
@@ -1703,34 +1653,6 @@ fn simulate(
         (Some(f), Some(cc)) => Some(f.node_faults(cc.nodes.len())),
         _ => None,
     };
-    // Place the min-scale floor. Denied placements (cluster smaller
-    // than the floor) are counted and the pod simply never exists; uid
-    // assignment is unchanged so downstream identity is stable.
-    let mut initial_pods: Vec<Pod> = Vec::with_capacity(min_scale);
-    for uid in 0..min_scale as u64 {
-        if let Some(cl) = cluster.as_mut() {
-            if cl.try_place(uid).is_none() {
-                cl.placement_denials += 1;
-                femux_obs::counter_add("evict.placement_denials", 1);
-                continue;
-            }
-        }
-        initial_pods.push(Pod {
-            uid,
-            warm_at: 0,
-            keep_until: 0,
-            queued: 0,
-            joinable: false,
-            warm_pending: false,
-            origin: PodOrigin::MinScale,
-        });
-    }
-    let placed_initial = initial_pods.len();
-    let initial_index: BTreeMap<u64, usize> = initial_pods
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.uid, i))
-        .collect();
     // Reserve the per-tick series at their final length: one entry per
     // interval boundary of the span plus the pro-rated tail. Grown on
     // demand, a long span's reallocations either extend in place or
@@ -1743,7 +1665,7 @@ fn simulate(
         concurrency: u64::from(app.config.pod_concurrency()),
         cold_ms,
         min_scale,
-        pods: initial_pods,
+        pods: Vec::with_capacity(min_scale),
         inflight: BinaryHeap::new(),
         last_t: 0,
         alive_pod_ms: 0.0,
@@ -1765,12 +1687,12 @@ fn simulate(
         restart_strikes: 0,
         restart_due: 0,
         pending_actuation: Vec::new(),
-        next_uid: min_scale as u64,
-        warm_pods: placed_initial,
+        next_uid: 0,
+        warm_pods: 0,
         warm_events: BinaryHeap::new(),
         joinable: BTreeSet::new(),
         waiting: 0,
-        index_of: initial_index,
+        index_of: BTreeMap::new(),
         stats: EngineStats::default(),
         app_id: app.id.0 as u64,
         sampler: cfg
@@ -1779,11 +1701,22 @@ fn simulate(
             .and_then(SpanSampler::new),
         spans: Vec::new(),
     };
-    if let Some(faults) = eng.faults.as_mut() {
-        for pod in &eng.pods {
-            faults.spawn_pod(pod.uid, 0);
+    // Place the min-scale floor, warm from t = 0. Denied placements
+    // (cluster smaller than the floor) are counted and the pod simply
+    // never exists, but its uid is spent so downstream identity is
+    // stable.
+    for _ in 0..min_scale {
+        if let Some(cl) = eng.cluster.as_mut() {
+            if cl.try_place(eng.next_uid).is_none() {
+                cl.placement_denials += 1;
+                femux_obs::counter_add("evict.placement_denials", 1);
+                eng.next_uid += 1;
+                continue;
+            }
         }
+        eng.add_pod(0, 0, 0, 0, PodOrigin::MinScale);
     }
+    let placed_initial = eng.pods.len();
 
     // `span_ms` bounds the replay: invocations at or after the span
     // boundary belong to the next window (train/test splits rely on
@@ -1849,14 +1782,7 @@ fn simulate(
     let last_tick = next_tick - cfg.interval_ms;
     if last_tick < span_ms {
         eng.advance(span_ms);
-        let tail_ms = (span_ms - last_tick) as f64;
-        let avg = eng.interval_conc_ms / tail_ms;
-        eng.avg_concurrency.push(avg);
-        eng.peak_concurrency.push(eng.interval_peak);
-        eng.arrivals.push(eng.interval_arrivals);
-        eng.interval_conc_ms = 0.0;
-        eng.interval_peak = eng.inflight.len() as f64;
-        eng.interval_arrivals = 0.0;
+        eng.close_interval(span_ms - last_tick, false);
     }
     // Drain remaining in-flight work.
     let last_end = eng

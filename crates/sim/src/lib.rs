@@ -14,7 +14,7 @@
 //!   reactive autoscaling, and a generic forecaster-driven policy.
 //! - [`fleet`]: running a policy factory over a whole trace.
 //! - [`cluster`]: an optional node model (finite core/memory capacity,
-//!   pluggable placement, memory-pressure eviction, node fault domains)
+//!   best-fit placement, memory-pressure eviction, node fault domains)
 //!   enabled via [`SimConfig::cluster`]; `None` keeps the historical
 //!   free-floating pod accounting bit-for-bit.
 //! - [`equiv`]: the `tick_idle` equivalence harness, which runs each
@@ -42,8 +42,8 @@ pub mod fleet;
 pub mod policy;
 
 pub use cluster::{
-    BestFit, Cluster, ClusterConfig, ClusterOutcome, NodeConfig,
-    PlacementKind, PlacementPolicy, PodRequest, ReleaseReason, RoundRobin,
+    Cluster, ClusterConfig, ClusterOutcome, NodeConfig, PodRequest,
+    ReleaseReason,
 };
 pub use engine::{
     simulate_app, simulate_app_with_stats, EngineStats, ScaleEvent,

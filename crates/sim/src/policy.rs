@@ -47,6 +47,17 @@ impl PolicyCtx<'_> {
                 as usize
         }
     }
+
+    /// The trailing samples of `series` that cover the last `window_ms`
+    /// (at least one interval; fewer while the series is shorter).
+    pub fn trailing<'s>(&self, series: &'s [f64], window_ms: u64) -> &'s [f64] {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a window length in intervals, bounded by the series length"
+        )]
+        let intervals = (window_ms / self.interval_ms).max(1) as usize;
+        &series[series.len().saturating_sub(intervals)..]
+    }
 }
 
 /// A quiescent stretch of scaling intervals, handed to
@@ -210,14 +221,8 @@ impl ScalingPolicy for KeepAlivePolicy {
 
     fn target_pods(&mut self, ctx: &PolicyCtx<'_>) -> usize {
         femux_obs::counter_add("policy.decisions", 1);
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "a window length in intervals, bounded by the series length"
-        )]
-        let intervals = ((self.window_secs * 1_000) / ctx.interval_ms)
-            .max(1) as usize;
-        let start = ctx.peak_concurrency.len().saturating_sub(intervals);
-        let peak = ctx.peak_concurrency[start..]
+        let peak = ctx
+            .trailing(ctx.peak_concurrency, self.window_secs * 1_000)
             .iter()
             .fold(0.0f64, |a, &b| a.max(b))
             .max(ctx.inflight as f64);
@@ -232,14 +237,8 @@ impl ScalingPolicy for KeepAlivePolicy {
         max_ticks: u64,
     ) -> IdleRun {
         let ctx = idle.ctx(i, current_pods);
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "a window length in intervals, bounded by the series length"
-        )]
-        let intervals = ((self.window_secs * 1_000) / ctx.interval_ms)
-            .max(1) as usize;
-        let start = ctx.peak_concurrency.len().saturating_sub(intervals);
-        if ctx.peak_concurrency[start..].iter().all(|&v| v == 0.0) {
+        let window = ctx.trailing(ctx.peak_concurrency, self.window_secs * 1_000);
+        if window.iter().all(|&v| v == 0.0) {
             // The trailing window shows no activity and every further
             // tick of the stretch appends another zero: the target is 0
             // for the whole remainder. Stateless, so nothing to advance
@@ -273,14 +272,7 @@ impl ScalingPolicy for KnativeDefaultPolicy {
 
     fn target_pods(&mut self, ctx: &PolicyCtx<'_>) -> usize {
         femux_obs::counter_add("policy.decisions", 1);
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "a window length in intervals, bounded by the series length"
-        )]
-        let intervals =
-            (60_000 / ctx.interval_ms).max(1) as usize;
-        let start = ctx.avg_concurrency.len().saturating_sub(intervals);
-        let window = &ctx.avg_concurrency[start..];
+        let window = ctx.trailing(ctx.avg_concurrency, 60_000);
         if window.is_empty() {
             return ctx.pods_for_concurrency(ctx.inflight as f64);
         }
@@ -300,13 +292,7 @@ impl ScalingPolicy for KnativeDefaultPolicy {
         max_ticks: u64,
     ) -> IdleRun {
         let ctx = idle.ctx(i, current_pods);
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "a window length in intervals, bounded by the series length"
-        )]
-        let intervals = (60_000 / ctx.interval_ms).max(1) as usize;
-        let start = ctx.avg_concurrency.len().saturating_sub(intervals);
-        if ctx.avg_concurrency[start..].iter().all(|&v| v == 0.0) {
+        if ctx.trailing(ctx.avg_concurrency, 60_000).iter().all(|&v| v == 0.0) {
             // An all-zero (or still empty) stable window with nothing in
             // flight decides 0, at this tick and at every later tick of
             // the stretch. Stateless, so nothing to advance except the

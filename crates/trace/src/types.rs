@@ -93,11 +93,6 @@ impl Invocation {
     pub fn end_ms(&self) -> u64 {
         self.start_ms + self.delay_ms as u64 + self.duration_ms as u64
     }
-
-    /// Returns the total service time in milliseconds (delay + execution).
-    pub fn service_ms(&self) -> u64 {
-        self.delay_ms as u64 + self.duration_ms as u64
-    }
 }
 
 /// All data for one application: identity, configuration, and its
@@ -279,7 +274,6 @@ mod tests {
             delay_ms: 20,
         };
         assert_eq!(inv.end_ms(), 1_320);
-        assert_eq!(inv.service_ms(), 320);
     }
 
     #[test]

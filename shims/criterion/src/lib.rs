@@ -99,15 +99,15 @@ impl Criterion {
             elapsed: Duration::ZERO,
         };
         let warmup_start = Instant::now();
-        let mut per_iter = Duration::from_nanos(1);
+        let (mut warm_elapsed, mut warm_iters) = (Duration::ZERO, 0u64);
         while warmup_start.elapsed() < self.warmup {
             bencher.elapsed = Duration::ZERO;
             f(&mut bencher);
-            per_iter = bencher.elapsed.max(Duration::from_nanos(1));
+            warm_elapsed += bencher.elapsed;
+            warm_iters += bencher.iters;
         }
-        let iters_per_sample = (self.target_sample.as_nanos()
-            / per_iter.as_nanos().max(1))
-        .clamp(1, 1_000_000) as u64;
+        let iters_per_sample =
+            iters_per_sample(self.target_sample, warm_elapsed, warm_iters);
 
         let mut samples = Vec::with_capacity(self.sample_count);
         for _ in 0..self.sample_count {
@@ -140,6 +140,14 @@ impl Criterion {
         }
         println!("{line}");
     }
+}
+
+/// Iterations per sample so that one sample lasts about `target`, from
+/// the warm-up's `iters` iterations taking `elapsed` in total: the mean
+/// cost of an iteration, not the cost of whichever call came last.
+fn iters_per_sample(target: Duration, elapsed: Duration, iters: u64) -> u64 {
+    let per_iter = (elapsed.as_nanos() / u128::from(iters.max(1))).max(1);
+    (target.as_nanos() / per_iter).clamp(1, 1_000_000) as u64
 }
 
 fn fmt_time(secs: f64) -> String {
@@ -242,6 +250,25 @@ mod tests {
         let mut runs = 0u64;
         c.bench_function("smoke", |b| b.iter(|| runs += 1));
         assert!(runs > 0);
+    }
+
+    #[test]
+    fn samples_are_sized_from_the_mean_warmup_iteration() {
+        // Alternating cheap and costly calls average 50 µs, so a 50 ms
+        // sample takes 1,000 iterations whichever call came last.
+        let target = Duration::from_millis(50);
+        let cheap = Duration::from_micros(1);
+        let costly = Duration::from_micros(99);
+        for last in [cheap, costly] {
+            let first = if last == cheap { costly } else { cheap };
+            let calls = [first, last].repeat(10);
+            let elapsed = calls.iter().sum::<Duration>();
+            assert_eq!(iters_per_sample(target, elapsed, 20), 1_000);
+        }
+        // No warm-up iteration, or an immeasurably fast one, still gives
+        // a bounded, positive size.
+        assert_eq!(iters_per_sample(target, Duration::ZERO, 0), 1_000_000);
+        assert_eq!(iters_per_sample(target, Duration::from_secs(1), 1), 1);
     }
 
     #[test]
